@@ -33,7 +33,6 @@ from .lrcstats import (
 from .genmodels import (
     GeneratorState,
     ModelParams,
-    PrefixSumSampler,
     generate,
     generate_bigram,
     generate_conjunct,

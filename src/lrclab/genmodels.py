@@ -1,12 +1,15 @@
 """Seeded generative processes over an unbounded symbol vocabulary.
 
-Three incremental models share one state shape (step count, vocabulary
-size, per-type counts): the constant-innovation / uniform-reuse model
-("rich get richer"), the two-parameter (a, b) model with discounted
-frequency reuse, and a conjunct of the two that pairs the (a, b)
-innovation rate with uniform reuse. Three reference generators round out
-the set: an i.i.d. sampler with an exact power-law rank distribution, a
-first-order Markov resampler of a corpus, and a word-level shuffler.
+Three incremental models share one copy-pointer mechanism: every element
+after the first is either new or a copy of an earlier position. The
+constant-innovation / uniform-reuse model ("rich get richer") and the
+conjunct model copy a uniformly random earlier position and differ only
+in their innovation rule (a constant rate, or the (a, b) rate); the
+two-parameter (a, b) model reuses type i with weight counts[i] - a,
+which it draws as a copy of a first or a later occurrence. Three
+reference generators round out the set: an i.i.d. sampler with an exact
+power-law rank distribution, a first-order Markov resampler of a corpus,
+and a word-level shuffler.
 
 All randomness comes from numpy's PCG64 generator seeded explicitly, so a
 (parameters, seed) pair reproduces the same sequence on any platform.
@@ -16,118 +19,31 @@ Every sequence starts from the same state: one type with one occurrence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .seqcore import DataError, TokenSequence
 
-_CHECK_MASK = 0xFFFF  # state invariant re-checked every 65536 steps
-
-
-class PrefixSumSampler:
-    """Fenwick (binary indexed) tree over non-negative weights supporting
-    O(log n) point updates and O(log n) inverse-CDF lookups.
-
-    Capacity doubles on demand so the tree depth tracks the live size, not
-    a preallocated bound.
-    """
-
-    __slots__ = ("_tree", "_weights", "_cap", "_size")
-
-    def __init__(self, capacity: int = 1024) -> None:
-        cap = 1
-        while cap < max(1, capacity):
-            cap <<= 1
-        self._cap = cap
-        self._tree = [0.0] * (cap + 1)
-        self._weights: list[float] = []
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def total(self) -> float:
-        return self.prefix_sum(self._size)
-
-    def weight(self, index: int) -> float:
-        return self._weights[index]
-
-    def append(self, weight: float) -> None:
-        if weight < 0:
-            raise DataError("negative weight")
-        if self._size == self._cap:
-            self._rebuild(self._cap * 2)
-        self._size += 1
-        self._weights.append(0.0)
-        self.add(self._size - 1, weight)
-
-    def add(self, index: int, delta: float) -> None:
-        """Add delta to the weight at a 0-based index."""
-        if not 0 <= index < self._size:
-            raise IndexError(index)
-        self._weights[index] += delta
-        tree = self._tree
-        i = index + 1
-        cap = self._cap
-        while i <= cap:
-            tree[i] += delta
-            i += i & (-i)
-
-    def prefix_sum(self, count: int) -> float:
-        """Sum of the first `count` weights."""
-        tree = self._tree
-        s = 0.0
-        i = count
-        while i > 0:
-            s += tree[i]
-            i -= i & (-i)
-        return s
-
-    def find(self, x: float) -> int:
-        """0-based index i with prefix_sum(i) <= x < prefix_sum(i + 1).
-
-        For x in [0, total) this is the inverse CDF of the weight
-        distribution; out-of-range x clamps to the last live index.
-        """
-        tree = self._tree
-        cap = self._cap
-        pos = 0
-        bit = cap
-        while bit:
-            nxt = pos + bit
-            if nxt <= cap and tree[nxt] <= x:
-                x -= tree[nxt]
-                pos = nxt
-            bit >>= 1
-        if pos >= self._size:
-            pos = self._size - 1
-        return pos
-
-    def _rebuild(self, capacity: int) -> None:
-        tree = [0.0] * (capacity + 1)
-        for i, w in enumerate(self._weights, start=1):
-            tree[i] += w
-            j = i + (i & (-i))
-            if j <= capacity:
-                tree[j] += tree[i]
-        self._cap = capacity
-        self._tree = tree
+_BLOCK = 1 << 12  # steps screened together for (a, b) innovations
 
 
 @dataclass
 class GeneratorState:
     """Evolving model state: t tokens emitted so far, counts[i] occurrences
-    of type i, and (for discounted-reuse sampling) a prefix-sum index over
-    the per-type weights counts[i] - discount.
+    of type i, and `later`, the type of every occurrence that is not its
+    type's first, in emission order.
 
-    The shared starting point is one type with one occurrence (t = 1).
+    The discounted reuse weight counts[i] - a splits by occurrence: a
+    type's first occurrence weighs 1 - a and each later one weighs 1, so
+    a reuse picks a uniform type or a uniform entry of `later` (see
+    `pitman_yor_next`). The shared starting point is one type with one
+    occurrence (t = 1).
     """
 
     t: int
     counts: list[int]
-    weight_index: PrefixSumSampler | None = None
+    later: list[int]
 
     @property
     def k(self) -> int:
@@ -142,32 +58,29 @@ class GeneratorState:
     def from_counts(
         cls, counts: Sequence[int], discount: float | None = None
     ) -> "GeneratorState":
+        """State with the given per-type counts; `later` lists each type's
+        repeat occurrences type by type. `discount` is accepted for
+        compatibility and unused: the split weights need no per-type index."""
         counts = [int(c) for c in counts]
         if not counts or any(c < 1 for c in counts):
             raise DataError("counts must be positive")
-        index = None
-        if discount is not None:
-            index = PrefixSumSampler()
-            for c in counts:
-                index.append(c - discount)
-        return cls(t=sum(counts), counts=counts, weight_index=index)
+        later = [i for i, c in enumerate(counts) for _ in range(c - 1)]
+        return cls(t=sum(counts), counts=counts, later=later)
 
-    def apply(self, token_id: int, discount: float | None = None) -> None:
+    def apply(self, token_id: int) -> None:
         """Record an emission: either an existing type or the next fresh id."""
         if token_id == self.k:
             self.counts.append(1)
-            if self.weight_index is not None:
-                self.weight_index.append(1.0 - (discount or 0.0))
         elif 0 <= token_id < self.k:
             self.counts[token_id] += 1
-            if self.weight_index is not None:
-                self.weight_index.add(token_id, 1.0)
+            self.later.append(token_id)
         else:
             raise DataError("token id out of range")
         self.t += 1
 
     def check(self) -> None:
         assert sum(self.counts) == self.t, "per-type counts must sum to t"
+        assert len(self.later) == self.t - self.k, "one later entry per repeat"
 
 
 @dataclass(frozen=True)
@@ -220,8 +133,8 @@ class ModelParams:
 
 # ---------------------------------------------------------------------------
 # Single-step kernels. These spell out one draw from each model's
-# next-token distribution given an explicit state; the bulk generators
-# below run the same arithmetic over pre-drawn random arrays.
+# next-token distribution given an explicit state. Fed the uniforms a bulk
+# generator drew for a step, each returns the token that generator emits.
 # ---------------------------------------------------------------------------
 
 
@@ -238,16 +151,18 @@ def simon_next(past: Sequence[int], alpha: float, rng: np.random.Generator, k: i
 
 def pitman_yor_next(state: GeneratorState, a: float, b: float, rng: np.random.Generator) -> int:
     """One draw: a fresh id with probability (a*K + b) / (t + b), otherwise
-    type i with probability (counts[i] - a) / (t + b), via the prefix-sum
-    weight index."""
+    type i with probability (counts[i] - a) / (t + b). The reuse weight
+    t - a*K splits into K first-occurrence slots of weight 1 - a, one per
+    type, and t - K later-occurrence slots of weight 1, one per entry of
+    `state.later`; x = u * (t - a*K) picks the slot."""
     t, k = state.t, state.k
-    eta = (a * k + b) / (t + b)
-    if rng.random() < eta:
+    if rng.random() < (a * k + b) / (t + b):
         return k
-    index = state.weight_index
-    if index is None:
-        raise DataError("state lacks a weight index")
-    return index.find(rng.random() * (t - a * k))
+    x = rng.random() * (t - a * k)
+    first_w = k * (1.0 - a)
+    if x < first_w or t == k:
+        return min(int(x / (1.0 - a)), k - 1)
+    return state.later[min(int(x - first_w), t - k - 1)]
 
 
 def conjunct_next(past: Sequence[int], a: float, b: float, rng: np.random.Generator, k: int | None = None) -> int:
@@ -263,7 +178,10 @@ def conjunct_next(past: Sequence[int], a: float, b: float, rng: np.random.Genera
 
 
 # ---------------------------------------------------------------------------
-# Bulk generators.
+# Bulk generators. Each builds a copy-pointer forest over the positions
+# (a new element points at itself, a reused one at the earlier position it
+# copies) and resolves it in numpy; only the (a, b) innovation decisions,
+# which depend on the vocabulary so far, run as a scalar loop.
 # ---------------------------------------------------------------------------
 
 
@@ -272,75 +190,115 @@ def _require(params: ModelParams, model: str) -> None:
         raise DataError(f"expected {model} params, got {params.model}")
 
 
+def _eta_innovations(u: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Steps at which the (a, b) rule innovates: step s emits element
+    t = s + 1 and is new when u[s] < (a*K + b) / (t + b), K being the
+    vocabulary before it.
+
+    K grows by at most one per step, so within a block of steps no rate
+    exceeds the one at K + block size; the scalar loop visits only the
+    steps whose uniform falls below that bound. Floating-point rounding is
+    monotonic, so the bound never drops a step the exact rule would take.
+    """
+    steps = []
+    k = 1
+    num = a * k + b
+    for lo in range(0, u.size, _BLOCK):
+        block = u[lo : lo + _BLOCK]
+        tb = np.arange(lo + 1, lo + 1 + block.size) + b
+        cand = np.flatnonzero(block < (a * (k + block.size) + b) / tb)
+        for t, x in zip((cand + lo + 1).tolist(), block[cand].tolist()):
+            if x < num / (t + b):
+                steps.append(t - 1)
+                k += 1
+                num = a * k + b
+    return np.array(steps, dtype=np.int64)
+
+
+def _resolve(parent: np.ndarray) -> TokenSequence:
+    """Token ids of a copy-pointer forest; overwrites `parent`.
+
+    parent[p] is the earlier position that position p copies; position 0
+    and every innovation point at themselves. Pointer doubling finds every
+    root in O(log depth) rounds. A root's id is its rank among the roots,
+    so ids are dense and in first-occurrence order; both properties are
+    checked on the result."""
+    positions = np.arange(parent.size)
+    is_root = parent == positions
+    assert np.all(parent <= positions), "a copy must point at an earlier position"
+    del positions
+    hop = np.empty_like(parent)
+    while True:
+        np.take(parent, parent, out=hop)
+        if np.array_equal(hop, parent):
+            break
+        parent, hop = hop, parent
+    del hop
+    issued = np.cumsum(is_root) - 1  # highest id issued up to each position
+    tokens = issued[parent]
+    assert np.array_equal(np.maximum.accumulate(tokens), issued), "ids must follow first occurrence"
+    return TokenSequence(tokens)
+
+
+def _generate_uniform_copy(
+    params: ModelParams, innovations: Callable[[np.ndarray], np.ndarray]
+) -> TokenSequence:
+    """Each element after the first is new at the steps `innovations`
+    returns for the step uniforms u, else a copy of a uniformly random
+    earlier position."""
+    m = params.length
+    rng = np.random.default_rng(params.seed)
+    new = innovations(rng.random(m - 1)) + 1
+    parent = np.empty(m, dtype=np.int64)
+    parent[0] = 0
+    parent[1:] = rng.integers(0, np.arange(1, m))
+    parent[new] = new
+    return _resolve(parent)
+
+
 def generate_simon(params: ModelParams) -> TokenSequence:
     """Constant-innovation model: at every step emit a new type with
     probability alpha, else repeat the token at a uniformly random past
     position."""
     _require(params, "simon")
     alpha = params.alpha
-    m = params.length
-    rng = np.random.default_rng(params.seed)
-    tokens = [0]
-    counts = [1]
-    if m > 1:
-        u = rng.random(m - 1).tolist()
-        pos = rng.integers(0, np.arange(1, m)).tolist()
-        k = 1
-        append = tokens.append
-        for step in range(m - 1):
-            if u[step] < alpha:
-                tok = k
-                k += 1
-                counts.append(1)
-            else:
-                tok = tokens[pos[step]]
-                counts[tok] += 1
-            append(tok)
-            if step & _CHECK_MASK == _CHECK_MASK:
-                assert sum(counts) == step + 2
-    assert sum(counts) == m
-    return TokenSequence(np.array(tokens, dtype=np.int64))
+    return _generate_uniform_copy(params, lambda u: np.flatnonzero(u < alpha))
 
 
 def generate_pitman_yor(params: ModelParams) -> TokenSequence:
     """Two-parameter model: innovation probability (a*K + b) / (t + b) and
-    reuse of type i with probability (counts[i] - a) / (t + b). Reuse draws
-    go through the prefix-sum index, so each step costs O(log K)."""
+    reuse of type i with probability (counts[i] - a) / (t + b). A reuse
+    draw x = u * (t - a*K) copies the first occurrence of type
+    floor(x / (1 - a)) when x < K(1 - a), else the later (not first)
+    occurrence number floor(x - K(1 - a)) in position order, as in
+    `pitman_yor_next`."""
     _require(params, "pitman_yor")
     a, b = params.a, params.b
     m = params.length
     rng = np.random.default_rng(params.seed)
-    tokens = [0]
-    counts = [1]
-    sampler = PrefixSumSampler()
-    sampler.append(1.0 - a)
-    if m > 1:
-        u_new = rng.random(m - 1).tolist()
-        u_pick = rng.random(m - 1).tolist()
-        k = 1
-        t = 1
-        append = tokens.append
-        find = sampler.find
-        add = sampler.add
-        grow = sampler.append
-        for step in range(m - 1):
-            if u_new[step] < (a * k + b) / (t + b):
-                tok = k
-                k += 1
-                counts.append(1)
-                grow(1.0 - a)
-            else:
-                # Total reuse weight is exactly t - a*K; the index resolves
-                # the inverse CDF over counts[i] - a.
-                tok = find(u_pick[step] * (t - a * k))
-                counts[tok] += 1
-                add(tok, 1.0)
-            append(tok)
-            t += 1
-            if step & _CHECK_MASK == _CHECK_MASK:
-                assert sum(counts) == t
-    assert sum(counts) == m
-    return TokenSequence(np.array(tokens, dtype=np.int64))
+    new = _eta_innovations(rng.random(m - 1), a, b) + 1
+    u = rng.random(m - 1)
+    is_root = np.zeros(m, dtype=bool)
+    is_root[0] = True
+    is_root[new] = True
+    roots = np.flatnonzero(is_root)
+    later = np.flatnonzero(~is_root)
+    k = np.cumsum(is_root[:-1])  # vocabulary before each step
+    t = np.arange(1, m)
+    x = u * (t - a * k)
+    del u, is_root
+    first_w = k * (1.0 - a)
+    first = (x < first_w) | (t == k)
+    rest = ~first
+    parent = np.empty(m, dtype=np.int64)
+    parent[0] = 0
+    tail = parent[1:]
+    tail[first] = roots[np.minimum(x[first] / (1.0 - a), k[first] - 1).astype(np.int64)]
+    tail[rest] = later[np.minimum(x[rest] - first_w[rest], (t - k - 1)[rest]).astype(np.int64)]
+    # free the split's whole-length temporaries before _resolve allocates
+    del tail, x, first_w, first, rest, k, t, later
+    parent[roots] = roots
+    return _resolve(parent)
 
 
 def generate_conjunct(params: ModelParams) -> TokenSequence:
@@ -348,30 +306,7 @@ def generate_conjunct(params: ModelParams) -> TokenSequence:
     combined with uniform reuse from the past sequence."""
     _require(params, "conjunct")
     a, b = params.a, params.b
-    m = params.length
-    rng = np.random.default_rng(params.seed)
-    tokens = [0]
-    counts = [1]
-    if m > 1:
-        u = rng.random(m - 1).tolist()
-        pos = rng.integers(0, np.arange(1, m)).tolist()
-        k = 1
-        t = 1
-        append = tokens.append
-        for step in range(m - 1):
-            if u[step] < (a * k + b) / (t + b):
-                tok = k
-                k += 1
-                counts.append(1)
-            else:
-                tok = tokens[pos[step]]
-                counts[tok] += 1
-            append(tok)
-            t += 1
-            if step & _CHECK_MASK == _CHECK_MASK:
-                assert sum(counts) == t
-    assert sum(counts) == m
-    return TokenSequence(np.array(tokens, dtype=np.int64))
+    return _generate_uniform_copy(params, lambda u: _eta_innovations(u, a, b))
 
 
 def generate(params: ModelParams) -> TokenSequence:

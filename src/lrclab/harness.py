@@ -20,7 +20,7 @@ import numpy as np
 
 from . import lrcstats
 from .corpusio import read_token_file
-from .genmodels import ModelParams, generate
+from .genmodels import ModelParams, generate, run_metadata
 from .seqcore import (
     DataError,
     TokenSequence,
@@ -428,8 +428,6 @@ def generate_to_file(params: ModelParams, out_path: str | Path) -> dict:
     (out_path + '.meta.json'), and return the metadata."""
     seq = generate(params)
     write_token_file(seq, out_path)
-    from .genmodels import run_metadata
-
     meta = run_metadata(params, seq)
     Path(str(out_path) + ".meta.json").write_text(
         json.dumps(meta, indent=2) + "\n", encoding="utf-8"

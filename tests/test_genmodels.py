@@ -3,9 +3,10 @@ import pytest
 from scipy.stats import chisquare
 
 from lrclab.genmodels import (
+    _eta_innovations,
+    _resolve,
     GeneratorState,
     ModelParams,
-    PrefixSumSampler,
     conjunct_next,
     generate,
     generate_bigram,
@@ -24,84 +25,6 @@ from lrclab.seqcore import DataError, TokenSequence
 REPLAYS = 30_000
 
 
-class TestPrefixSumSampler:
-    def test_prefix_sums_match_naive(self):
-        weights = [0.3, 1.7, 0.0, 2.5, 0.001, 4.0]
-        sampler = PrefixSumSampler(capacity=2)
-        for w in weights:
-            sampler.append(w)
-        for k in range(len(weights) + 1):
-            assert sampler.prefix_sum(k) == pytest.approx(sum(weights[:k]))
-
-    def test_find_boundaries(self):
-        sampler = PrefixSumSampler()
-        for w in [1.0, 2.0, 3.0]:
-            sampler.append(w)
-        assert sampler.find(0.0) == 0
-        assert sampler.find(0.999) == 0
-        assert sampler.find(1.0) == 1
-        assert sampler.find(2.999) == 1
-        assert sampler.find(3.0) == 2
-        assert sampler.find(5.999) == 2
-        # out-of-range clamps to the last live index
-        assert sampler.find(6.5) == 2
-
-    def test_add_updates(self):
-        sampler = PrefixSumSampler()
-        sampler.append(1.0)
-        sampler.append(1.0)
-        sampler.add(0, 3.0)
-        assert sampler.weight(0) == 4.0
-        assert sampler.total == pytest.approx(5.0)
-        assert sampler.find(3.5) == 0
-        assert sampler.find(4.5) == 1
-
-    def test_growth_preserves_sums(self):
-        sampler = PrefixSumSampler(capacity=1)
-        weights = [float(i % 7 + 1) for i in range(100)]
-        for w in weights:
-            sampler.append(w)
-        assert sampler.total == pytest.approx(sum(weights))
-        assert sampler.find(sum(weights[:42]) + 0.5) == 42
-
-    def test_negative_weight_rejected(self):
-        sampler = PrefixSumSampler()
-        with pytest.raises(DataError):
-            sampler.append(-1.0)
-
-    def test_distribution_matches_weights(self):
-        weights = [3.0, 1.0, 2.0]
-        sampler = PrefixSumSampler()
-        for w in weights:
-            sampler.append(w)
-        rng = np.random.default_rng(0)
-        total = sum(weights)
-        draws = np.array([sampler.find(rng.random() * total) for _ in range(REPLAYS)])
-        counts = np.bincount(draws, minlength=3)
-        expected = np.array(weights) / total * REPLAYS
-        assert chisquare(counts, f_exp=expected).pvalue > 0.001
-
-    def test_matches_uniform_past_position_draw(self):
-        # frequency-proportional draw through the index vs uniform draw of a
-        # past position: same distribution
-        past = [0, 1, 0, 2, 0, 2]
-        counts = np.bincount(past)
-        sampler = PrefixSumSampler()
-        for c in counts:
-            sampler.append(float(c))
-        rng = np.random.default_rng(1)
-        t = len(past)
-        via_index = np.bincount(
-            [sampler.find(rng.random() * t) for _ in range(REPLAYS)], minlength=3
-        )
-        via_past = np.bincount(
-            [past[int(rng.integers(0, t))] for _ in range(REPLAYS)], minlength=3
-        )
-        expected = counts / t * REPLAYS
-        assert chisquare(via_index, f_exp=expected).pvalue > 0.001
-        assert chisquare(via_past, f_exp=expected).pvalue > 0.001
-
-
 class TestGeneratorState:
     def test_initial(self):
         state = GeneratorState.initial()
@@ -110,13 +33,24 @@ class TestGeneratorState:
         assert state.counts == [1]
 
     def test_apply_keeps_invariant(self):
-        state = GeneratorState.initial(discount=0.5)
+        state = GeneratorState.initial()
         for tok in [1, 0, 1, 2, 2, 2]:
-            state.apply(tok, discount=0.5)
+            state.apply(tok)
             state.check()
         assert state.t == 7
         assert state.counts == [2, 2, 3]
-        assert state.weight_index.total == pytest.approx(7 - 0.5 * 3)
+        assert state.later == [0, 1, 2, 2]
+        # first-occurrence slots (1 - a each) plus later slots (1 each)
+        # hold the whole discounted reuse weight t - a*K
+        a = 0.5
+        split = state.k * (1 - a) + len(state.later)
+        assert split == pytest.approx(sum(c - a for c in state.counts))
+        assert split == pytest.approx(state.t - a * state.k)
+
+    def test_from_counts_lists_repeats(self):
+        state = GeneratorState.from_counts([3, 1, 2])
+        assert state.later == [0, 0, 2]
+        state.check()
 
     def test_apply_rejects_gap(self):
         state = GeneratorState.initial()
@@ -207,6 +141,97 @@ class TestKernels:
                 assert new_p + reuse == pytest.approx(1.0, abs=1e-12)
 
 
+class _Replay:
+    """Stands in for the random generator inside a kernel: hands out the
+    uniforms and the past position a bulk generator drew for one step."""
+
+    def __init__(self, uniforms, position=None):
+        self._uniforms = list(uniforms)
+        self._position = position
+
+    def random(self):
+        return self._uniforms.pop(0)
+
+    def integers(self, low, high):
+        assert low == 0 and 0 <= self._position < high
+        return self._position
+
+
+DIFF_LENGTHS = (1, 7, 2000)
+DIFF_SEEDS = range(5)
+AB_CELLS = [(0.0, 0.0), (0.0, 0.8), (0.68, 0.0), (0.68, 0.8)]
+
+
+def _replay_uniform_copy(kernel, params):
+    """Tokens from feeding a kernel the draws of a Simon or conjunct run:
+    one step uniform each, then one past position each."""
+    m = params.length
+    rng = np.random.default_rng(params.seed)
+    u = rng.random(m - 1).tolist()
+    pos = rng.integers(0, np.arange(1, m)).tolist()
+    past, k = [0], 1
+    for s in range(m - 1):
+        past.append(kernel(past, _Replay([u[s]], pos[s]), k))
+        k = max(k, past[-1] + 1)
+    return past
+
+
+class TestBulkMatchesKernels:
+    """The bulk generators emit, step for step, what the single-step
+    kernels return for the same uniforms."""
+
+    @pytest.mark.parametrize("length", DIFF_LENGTHS)
+    @pytest.mark.parametrize("alpha", [0.1, 0.4])
+    def test_simon(self, length, alpha):
+        for seed in DIFF_SEEDS:
+            p = ModelParams(model="simon", length=length, seed=seed, alpha=alpha)
+            replayed = _replay_uniform_copy(
+                lambda past, rng, k: simon_next(past, alpha, rng, k=k), p
+            )
+            assert generate_simon(p).tokens.tolist() == replayed
+
+    @pytest.mark.parametrize("length", DIFF_LENGTHS)
+    @pytest.mark.parametrize("a,b", AB_CELLS)
+    def test_conjunct(self, length, a, b):
+        for seed in DIFF_SEEDS:
+            p = ModelParams(model="conjunct", length=length, seed=seed, a=a, b=b)
+            replayed = _replay_uniform_copy(
+                lambda past, rng, k: conjunct_next(past, a, b, rng, k=k), p
+            )
+            assert generate_conjunct(p).tokens.tolist() == replayed
+
+    @pytest.mark.parametrize("length", DIFF_LENGTHS)
+    @pytest.mark.parametrize("a,b", AB_CELLS)
+    def test_pitman_yor(self, length, a, b):
+        for seed in DIFF_SEEDS:
+            p = ModelParams(model="pitman_yor", length=length, seed=seed, a=a, b=b)
+            rng = np.random.default_rng(seed)
+            u_new = rng.random(length - 1).tolist()
+            u_pick = rng.random(length - 1).tolist()
+            state = GeneratorState.initial()
+            replayed = [0]
+            for s in range(length - 1):
+                tok = pitman_yor_next(state, a, b, _Replay([u_new[s], u_pick[s]]))
+                state.apply(tok)
+                replayed.append(tok)
+            assert generate_pitman_yor(p).tokens.tolist() == replayed
+
+    def test_innovation_screen_matches_scalar_rule(self):
+        # several screening blocks, including rates near one
+        u = np.random.default_rng(14).random(3 * 10**4)
+        for a, b in AB_CELLS + [(0.99, 5.0), (0.3, 100.0)]:
+            k, steps = 1, []
+            for s, x in enumerate(u.tolist()):
+                if x < (a * k + b) / (s + 1 + b):
+                    steps.append(s)
+                    k += 1
+            assert _eta_innovations(u, a, b).tolist() == steps
+
+    def test_resolve_rejects_forward_pointer(self):
+        with pytest.raises(AssertionError):
+            _resolve(np.array([0, 2, 2, 1]))
+
+
 class TestSimon:
     def test_vocabulary_growth_binomial(self):
         length, alpha = 10**5, 0.1
@@ -266,6 +291,32 @@ class TestPitmanYor:
         mean_py, mean_cj = np.mean(k_py), np.mean(k_cj)
         pooled_sd = np.sqrt((np.var(k_py) + np.var(k_cj)) / 10)
         assert abs(mean_py - mean_cj) < 3 * pooled_sd
+
+    @pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.68, 0.0)])
+    def test_length_four_law(self, a, b):
+        # the 15 canonical sequences of length 4 against their exact
+        # probabilities under the (a, b) reuse and innovation rule
+        def law(prefix):
+            if len(prefix) == 4:
+                return {tuple(prefix): 1.0}
+            t, counts = len(prefix), np.bincount(prefix)
+            k = counts.size
+            out = {}
+            for tok, w in list(enumerate(counts - a)) + [(k, a * k + b)]:
+                for seq, p in law(prefix + [tok]).items():
+                    out[seq] = out.get(seq, 0.0) + p * w / (t + b)
+            return out
+
+        probs = law([0])
+        assert len(probs) == 15
+        index = {seq: i for i, seq in enumerate(probs)}
+        seeds = 20_000
+        counts = np.zeros(len(probs), dtype=np.int64)
+        for seed in range(seeds):
+            p = ModelParams(model="pitman_yor", length=4, seed=seed, a=a, b=b)
+            counts[index[tuple(generate_pitman_yor(p).tokens.tolist())]] += 1
+        expected = seeds * np.array(list(probs.values()))
+        assert chisquare(counts, f_exp=expected).pvalue > 0.001
 
 
 class TestConjunct:
