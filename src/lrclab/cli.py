@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import harness, lrcstats
 from .corpusio import (
     DEFAULT_DROP_CODES,
@@ -23,6 +21,7 @@ from .corpusio import (
 )
 from .genmodels import (
     ModelParams,
+    file_metadata,
     generate_bigram,
     generate_zipf_iid,
     shuffle,
@@ -70,14 +69,8 @@ def _cmd_generate(args: argparse.Namespace, parser: _Parser) -> int:
             parser.error("--vocab and --exponent are required for --model zipf")
         seq = generate_zipf_iid(args.vocab, args.exponent, args.length, args.seed)
         write_token_file(seq, out)
-        meta = {
-            "model": "zipf",
-            "params": {"vocab_size": args.vocab, "exponent": args.exponent},
-            "seed": args.seed,
-            "length": seq.m,
-            "final_vocab": int(np.unique(seq.tokens).size),
-        }
-        _write_json(Path(str(out) + ".meta.json"), meta)
+        params = {"vocab_size": args.vocab, "exponent": args.exponent}
+        _write_json(Path(str(out) + ".meta.json"), file_metadata("zipf", params, args.seed, seq))
         return 0
     if model == "bigram":
         if args.corpus is None:
@@ -85,14 +78,8 @@ def _cmd_generate(args: argparse.Namespace, parser: _Parser) -> int:
         corpus = read_token_file(args.corpus)
         seq = generate_bigram(corpus, args.length, args.seed)
         write_token_file(seq, out)
-        meta = {
-            "model": "bigram",
-            "params": {"corpus": str(args.corpus)},
-            "seed": args.seed,
-            "length": seq.m,
-            "final_vocab": int(np.unique(seq.tokens).size),
-        }
-        _write_json(Path(str(out) + ".meta.json"), meta)
+        params = {"corpus": str(args.corpus)}
+        _write_json(Path(str(out) + ".meta.json"), file_metadata("bigram", params, args.seed, seq))
         return 0
     parser.error(f"unknown model {model}")
     return USAGE_EXIT
@@ -102,14 +89,8 @@ def _cmd_shuffle(args: argparse.Namespace) -> int:
     seq = read_token_file(args.input)
     out_seq = shuffle(seq, args.seed)
     write_token_file(out_seq, args.out)
-    meta = {
-        "model": "shuffle",
-        "params": {"input": str(args.input)},
-        "seed": args.seed,
-        "length": out_seq.m,
-        "final_vocab": int(np.unique(out_seq.tokens).size),
-    }
-    _write_json(Path(str(args.out) + ".meta.json"), meta)
+    params = {"input": str(args.input)}
+    _write_json(Path(str(args.out) + ".meta.json"), file_metadata("shuffle", params, args.seed, out_seq))
     return 0
 
 

@@ -385,15 +385,20 @@ def shuffle(seq: TokenSequence, seed: int) -> TokenSequence:
     return TokenSequence(seq.tokens[perm], symbols=seq.symbols)
 
 
+def file_metadata(model: str, params: dict, seed: int, seq: TokenSequence) -> dict:
+    """Metadata written next to a generated or shuffled token file."""
+    return {
+        "model": model,
+        "params": params,
+        "seed": seed,
+        "length": seq.m,
+        "final_vocab": int(seq.type_stats[0].size),
+    }
+
+
 def run_metadata(params: ModelParams, seq: TokenSequence) -> dict:
     """Metadata mirror of one generation run."""
-    meta = {
-        "model": params.model,
-        "params": params.to_dict(),
-        "seed": params.seed,
-        "length": seq.m,
-        "final_vocab": int(seq.tokens.max()) + 1,
-    }
+    meta = file_metadata(params.model, params.to_dict(), params.seed, seq)
     if params.degenerate:
         meta["degenerate"] = True
     return meta

@@ -278,7 +278,7 @@ def write_sweep_result(result: SweepResult, out_dir: str | Path) -> dict[str, Pa
                 _fmt(r.heaps_zeta),
                 _fmt(r.lrc_verdict),
                 _fmt(r.acf_points),
-                '"{}"'.format(r.error.replace('"', "'")) if r.error else "",
+                '"{}"'.format(r.error.replace('"', '""')) if r.error else "",
             ]
             fh.write(",".join(row) + "\n")
 
@@ -368,13 +368,6 @@ def write_analysis(report: lrcstats.AnalysisReport, out_dir: str | Path) -> dict
     return files
 
 
-def _read_csv_rows(path: Path) -> tuple[list[str], list[list[str]]]:
-    lines = [ln for ln in path.read_text(encoding="utf-8").split("\n") if ln]
-    if not lines:
-        raise DataError(f"empty CSV {path}")
-    return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
-
-
 def emit_figure_data(
     input_dir: str | Path, figure_id: str, out_dir: str | Path
 ) -> dict:
@@ -390,7 +383,14 @@ def emit_figure_data(
     manifest: dict = {"figure": figure_id, "files": []}
 
     if figure_id == "sweep_map":
-        header, rows = _read_csv_rows(src / "aggregates.csv")
+        import csv  # only this figure reads CSV; keeps it off the CLI's import path
+
+        agg_path = src / "aggregates.csv"
+        with open(agg_path, encoding="utf-8", newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+        if not rows:
+            raise DataError(f"empty CSV {agg_path}")
+        header = rows.pop(0)
         cell_cols = [c for c in header if c in ("alpha", "a", "b")]
         idx = {c: header.index(c) for c in cell_cols}
         frac_idx = header.index("lrc_fraction")

@@ -74,15 +74,14 @@ def select_rare_set(seq: TokenSequence, n: int = DEFAULT_RARITY) -> set[int]:
         raise DataError("rarity divisor must be at least 2")
     if seq.m < n:
         raise DataError("sequence too short")
-    uniq, first_pos = np.unique(seq.tokens, return_index=True)
-    freqs = np.bincount(seq.tokens)[uniq]
-    order = np.lexsort((first_pos, freqs))
+    ids, freqs, first = seq.type_stats
+    order = np.lexsort((first, freqs))
     cum = np.cumsum(freqs[order])
     target = seq.m // n
     k = int(np.searchsorted(cum, target, side="right"))
-    if (k == 0 or cum[k - 1] < target) and k < uniq.size:
+    if (k == 0 or cum[k - 1] < target) and k < ids.size:
         k += 1
-    return set(uniq[order[:k]].tolist())
+    return set(ids[order[:k]].tolist())
 
 
 def extract_intervals(
@@ -93,8 +92,9 @@ def extract_intervals(
     rare_ids = np.fromiter((int(r) for r in rare), dtype=np.int64)
     if rare_ids.size == 0:
         raise DataError("insufficient occurrences")
-    mask = np.zeros(int(seq.tokens.max()) + 1, dtype=bool)
-    mask[rare_ids[rare_ids <= seq.tokens.max()]] = True
+    top = int(seq.type_stats[0][-1])
+    mask = np.zeros(top + 1, dtype=bool)
+    mask[rare_ids[rare_ids <= top]] = True
     positions = np.flatnonzero(mask[seq.tokens])
     if positions.size < 2:
         raise DataError("insufficient occurrences")
@@ -149,9 +149,8 @@ def fit_power_law(
 def rank_frequency(seq: TokenSequence) -> RankFrequency:
     """Exhaustive type frequencies in descending order, ties broken by first
     occurrence in the sequence."""
-    uniq, first_pos = np.unique(seq.tokens, return_index=True)
-    freqs = np.bincount(seq.tokens)[uniq]
-    order = np.lexsort((first_pos, -freqs))
+    _, freqs, first = seq.type_stats
+    order = np.lexsort((first, -freqs))
     return RankFrequency(freqs[order])
 
 
@@ -181,15 +180,11 @@ def fit_zipf(rank: RankFrequency) -> PowerLawFit:
 def type_token_curve(seq: TokenSequence) -> TypeTokenCurve:
     """Vocabulary size V(m) over prefixes of length m, sampled at geometric
     m (20 points per decade) and always including m = M."""
-    tokens = seq.tokens
-    _, first_pos = np.unique(tokens, return_index=True)
-    is_new = np.zeros(tokens.size, dtype=np.int64)
-    is_new[first_pos] = 1
-    cum_vocab = np.cumsum(is_new)
     grid = log_grid(seq.m)
     if grid.size == 0 or int(grid[-1]) != seq.m:
         grid = np.append(grid, seq.m)
-    return TypeTokenCurve(grid, cum_vocab[grid - 1])
+    first = np.sort(seq.type_stats[2])
+    return TypeTokenCurve(grid, np.searchsorted(first, grid, side="left"))
 
 
 @dataclass(frozen=True)
@@ -221,9 +216,9 @@ def judge_lrc(curve: AcfCurve) -> LrcVerdict:
 @dataclass(frozen=True)
 class AnalysisReport:
     """Bundle of the curves, fits, and the long-range correlation verdict
-    for one sequence."""
+    for one sequence. `n` is None when the rare set was forced."""
 
-    n: int
+    n: int | None
     m: int
     rank: RankFrequency
     typetoken: TypeTokenCurve
@@ -312,7 +307,8 @@ def analyze(
         ints = extract_intervals(seq, rare_ids, n=None)
     elif seq.m >= n:
         rare_ids = select_rare_set(seq, n)
-        occurrences = int(np.isin(seq.tokens, list(rare_ids)).sum())
+        ids, freqs, _ = seq.type_stats
+        occurrences = int(freqs[np.searchsorted(ids, sorted(rare_ids))].sum())
         if occurrences >= 2:
             ints = extract_intervals(seq, rare_ids, n=n)
         else:
@@ -341,7 +337,7 @@ def analyze(
     heaps_fit = fit_heaps(ttc)
 
     return AnalysisReport(
-        n=n,
+        n=n if rare is None else None,
         m=seq.m,
         rank=rank,
         typetoken=ttc,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -71,6 +72,18 @@ class TokenSequence:
 
     def __len__(self) -> int:
         return self.m
+
+    @cached_property
+    def type_stats(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ids, freqs, first) of the types that occur, in ascending id order:
+        each id's token count and first position. Equal to what
+        np.unique(tokens, return_index=True) and bincount give, for any ids,
+        but computed in O(M) without sorting the tokens."""
+        freqs = np.bincount(self.tokens)
+        first = np.full(freqs.size, self.m, dtype=np.int64)
+        np.minimum.at(first, self.tokens, np.arange(self.m))
+        ids = np.flatnonzero(freqs)
+        return _freeze(ids), _freeze(freqs[ids]), _freeze(first[ids])
 
     def surface(self, token_id: int) -> str:
         if self.symbols is not None:

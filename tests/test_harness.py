@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -7,6 +8,8 @@ import pytest
 from lrclab import cli
 from lrclab.genmodels import ModelParams, generate
 from lrclab.harness import (
+    SweepRecord,
+    SweepResult,
     SweepSpec,
     emit_figure_data,
     run_analysis,
@@ -110,6 +113,21 @@ class TestRunSweep:
         write_sweep_result(run_sweep(spec), d2)
         assert (d1 / "records.csv").read_bytes() == (d2 / "records.csv").read_bytes()
 
+    def test_error_column_round_trips_through_csv_reader(self, tmp_path):
+        spec = SweepSpec(**TINY_SWEEP)
+        message = 'cannot read "w1, w2", giving up'
+        records = (
+            SweepRecord(cell=(0.68, 0.8), replicate=0, seed=100, error=message),
+            SweepRecord(cell=(0.68, 0.8), replicate=1, seed=101, error="degenerate series"),
+        )
+        write_sweep_result(SweepResult(spec=spec, records=records, aggregates=()), tmp_path)
+        text = (tmp_path / "records.csv").read_text()
+        assert text.splitlines()[2].endswith(',"degenerate series"')
+        with open(tmp_path / "records.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert [row[header.index("error")] for row in rows] == [message, "degenerate series"]
+        assert all(len(row) == len(header) for row in rows)
+
 
 class TestRunAnalysis:
     def test_romeo_forced_rare(self, tmp_path):
@@ -178,7 +196,7 @@ class TestEmitFigureData:
         out = tmp_path / "fig"
         manifest = emit_figure_data(sweep_dir, "sweep_map", out)
         text = (out / "sweep_map.csv").read_text()
-        assert text.startswith("a,b,lrc_fraction\n")
+        assert text == f"a,b,lrc_fraction\n0.68,0.8,{result.aggregates[0].lrc_fraction!r}\n"
         assert manifest["files"][0]["value"] == "lrc_fraction"
 
     def test_unknown_figure_id(self, analysis_dir, tmp_path):
@@ -247,6 +265,9 @@ class TestCli:
         assert cli.main(["shuffle", "--input", str(src), "--seed", "3", "--out", str(out)]) == 0
         tokens = out.read_text().split()
         assert sorted(tokens) == ["a", "b", "c", "d", "e"]
+        meta = json.loads((tmp_path / "shuffled.txt.meta.json").read_text())
+        assert list(meta) == ["model", "params", "seed", "length", "final_vocab"]
+        assert meta["final_vocab"] == 5
 
     def test_chat_extract(self, tmp_path):
         sample = Path(__file__).parent / "data" / "sample.cha"

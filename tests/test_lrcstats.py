@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrclab.corpusio import read_tokens
+from lrclab.genmodels import ModelParams, generate, shuffle
 from lrclab.lrcstats import (
     acf_curve,
     analyze,
@@ -36,6 +37,56 @@ def acf_oracle(series, s):
     for i in range(m - s):
         total += (series[i] - mu) * (series[i + s] - mu)
     return total / ((m - s) * var)
+
+
+# Sort-based per-type statistics: the formulas the analysis used before
+# `TokenSequence.type_stats`, kept as the oracle for it.
+
+
+def type_stats_oracle(seq):
+    ids, first = np.unique(seq.tokens, return_index=True)
+    return ids, np.bincount(seq.tokens)[ids], first
+
+
+def select_rare_set_oracle(seq, n):
+    uniq, first_pos = np.unique(seq.tokens, return_index=True)
+    freqs = np.bincount(seq.tokens)[uniq]
+    order = np.lexsort((first_pos, freqs))
+    cum = np.cumsum(freqs[order])
+    target = seq.m // n
+    k = int(np.searchsorted(cum, target, side="right"))
+    if (k == 0 or cum[k - 1] < target) and k < uniq.size:
+        k += 1
+    return set(uniq[order[:k]].tolist())
+
+
+def rank_frequency_oracle(seq):
+    uniq, first_pos = np.unique(seq.tokens, return_index=True)
+    freqs = np.bincount(seq.tokens)[uniq]
+    return freqs[np.lexsort((first_pos, -freqs))]
+
+
+def type_token_oracle(seq):
+    _, first_pos = np.unique(seq.tokens, return_index=True)
+    is_new = np.zeros(seq.m, dtype=np.int64)
+    is_new[first_pos] = 1
+    grid = log_grid(seq.m)
+    if grid.size == 0 or int(grid[-1]) != seq.m:
+        grid = np.append(grid, seq.m)
+    return grid, np.cumsum(is_new)[grid - 1]
+
+
+def assert_matches_oracle(seq):
+    for got, want in zip(seq.type_stats, type_stats_oracle(seq)):
+        assert np.array_equal(got, want)
+    for n in (2, 16):
+        if seq.m >= n:
+            assert select_rare_set(seq, n) == select_rare_set_oracle(seq, n)
+    assert np.array_equal(rank_frequency(seq).frequencies, rank_frequency_oracle(seq))
+    sizes, vocab = type_token_oracle(seq)
+    curve = type_token_curve(seq)
+    assert np.array_equal(curve.sizes, sizes)
+    assert np.array_equal(curve.vocab, vocab)
 
 
 class TestAutocorrelation:
@@ -259,6 +310,58 @@ class TestTypeTokenCurve:
         assert curve.samples[-1] == (seq.m, len(set(ids)))
 
 
+class TestTypeStats:
+    def test_small_example(self):
+        ids, freqs, first = read_tokens("b a b c a b").type_stats
+        assert ids.tolist() == [0, 1, 2]
+        assert freqs.tolist() == [3, 2, 1]
+        assert first.tolist() == [0, 1, 3]
+
+    def test_frozen(self):
+        for arr in TokenSequence(np.array([4, 1, 4])).type_stats:
+            assert not arr.flags.writeable
+
+    @given(
+        st.lists(st.integers(0, 40), min_size=1, max_size=500),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sparse_ids_match_sorting_oracle(self, ids, seed, offset):
+        tokens = np.array(ids, dtype=np.int64) ** 2 + offset
+        assert_matches_oracle(TokenSequence(tokens))
+        shuffled = np.random.default_rng(seed).permutation(tokens)
+        assert_matches_oracle(TokenSequence(shuffled))
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            ModelParams(model="simon", length=10**5, seed=3, alpha=0.2),
+            ModelParams(model="pitman_yor", length=10**5, seed=3, a=0.68, b=0.8),
+            ModelParams(model="conjunct", length=10**5, seed=3, a=0.68, b=0.8),
+        ],
+        ids=lambda p: p.model,
+    )
+    def test_incremental_models_match_sorting_oracle(self, params):
+        seq = generate(params)
+        assert_matches_oracle(seq)
+        assert_matches_oracle(shuffle(seq, 4))
+
+    def test_computed_once_per_analysis(self, monkeypatch):
+        prop = TokenSequence.__dict__["type_stats"]
+        calls = []
+
+        def counted(seq):
+            calls.append(seq)
+            return type_stats_oracle(seq)
+
+        monkeypatch.setattr(prop, "func", counted)
+        seq = TokenSequence(np.random.default_rng(8).integers(0, 40, size=20000))
+        analyze(seq, n=16)
+        analyze(seq, n=8)
+        assert calls == [seq]
+
+
 class TestJudgeLrc:
     def test_all_positive(self):
         curve = AcfCurve(
@@ -327,6 +430,8 @@ class TestAnalyze:
         assert report.intervals.intervals.tolist() == [1, 4]
         assert report.m == 7
         assert report.m_n == 2
+        assert report.n is None
+        assert report.to_dict()["n"] is None
         assert report.gamma is None
         assert report.lrc_verdict is None
         assert report.acf_skipped is not None
