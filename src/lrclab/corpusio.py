@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -19,8 +20,20 @@ from .seqcore import DataError, TokenSequence, sequence_from_surface
 DEFAULT_DROP_CODES = frozenset({"xxx", "yyy", "www"})
 
 _TIER_RE = re.compile(r"^\*([A-Z0-9]{2,3}):[ \t]?(.*)$")
-_BRACKETED_RE = re.compile(r"\[[^\]]*\]")
-_TERMINATORS = frozenset(".?!")
+# One annotation per match; it never crosses "\n", so it ends within its
+# utterance.
+_BRACKETED_RE = re.compile(r"\[[^\]\n]*\]")
+# A whole whitespace-delimited token that starts with '&' or consists of
+# terminators only. The pattern opens with a character class, which lets re
+# skip ahead to candidates; the lookbehind then requires that the matched
+# character starts its token.
+_DROPPED_TOKEN_RE = re.compile(
+    r"""[&.?!](?<!\S.)      # first character of a token
+        (?: (?<=&)\S*       # an '&' fragment, to the end of the token
+          | [.?!]*(?!\S) )  # or terminators only, to the end of the token
+    """,
+    re.VERBOSE,
+)
 
 
 class ChatParseError(DataError):
@@ -39,28 +52,33 @@ class Utterance:
 
 @dataclass(frozen=True)
 class ChatDocument:
-    """Speaker-attributed utterances plus the raw header lines."""
+    """Speaker-attributed utterances plus the raw header lines.
 
-    utterances: tuple[Utterance, ...]
+    `codes` holds the speaker code of each utterance and `text` its cleaned
+    words, one line per utterance in document order. `utterances` builds
+    one `Utterance` per line, on first access only.
+    """
+
+    codes: tuple[str, ...]
+    text: str
     headers: tuple[str, ...]
 
+    @cached_property
+    def utterances(self) -> tuple[Utterance, ...]:
+        lines = self.text.split("\n")
+        return tuple(Utterance(code, tuple(line.split())) for code, line in zip(self.codes, lines))
+
     def speakers(self) -> set[str]:
-        return {u.speaker for u in self.utterances}
+        return set(self.codes)
 
 
-def _clean_utterance(text: str) -> tuple[str, ...]:
-    """Strip bracketed annotations, angle-bracket scope markers, fragment
-    tokens starting with '&', and terminal punctuation tokens."""
+def _clean(text: str) -> str:
+    """Blank out bracketed annotations, angle-bracket scope markers,
+    fragment tokens starting with '&', and terminal punctuation tokens.
+    Line breaks are kept, so each utterance stays on its own line."""
     text = _BRACKETED_RE.sub(" ", text)
     text = text.replace("<", " ").replace(">", " ")
-    out = []
-    for tok in text.split():
-        if tok.startswith("&"):
-            continue
-        if all(ch in _TERMINATORS for ch in tok):
-            continue
-        out.append(tok)
-    return tuple(out)
+    return _DROPPED_TOKEN_RE.sub("", text)
 
 
 def parse_chat(text: str) -> ChatDocument:
@@ -72,44 +90,33 @@ def parse_chat(text: str) -> ChatDocument:
     Any other non-blank line raises a located error.
     """
     headers: list[str] = []
-    utterances: list[Utterance] = []
-    pending_speaker: str | None = None
-    pending_text: list[str] = []
+    codes: list[str] = []
+    # Raw utterance text: "\n" opens each utterance, " " each continuation.
+    pieces: list[str] = []
     mode: str | None = None  # "utterance" | "dependent" | "header"
-
-    def flush() -> None:
-        nonlocal pending_speaker, pending_text
-        if pending_speaker is not None:
-            utterances.append(
-                Utterance(pending_speaker, _clean_utterance(" ".join(pending_text)))
-            )
-        pending_speaker = None
-        pending_text = []
 
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip("\r")
         if not line.strip():
             continue
-        if line.startswith("@"):
-            flush()
+        first = line[0]
+        if first == "@":
             headers.append(line)
             mode = "header"
-        elif line.startswith("*"):
-            if ":" not in line:
-                raise ChatParseError(lineno, "malformed tier line (no ':' after speaker)")
+        elif first == "*":
             m = _TIER_RE.match(line)
             if m is None:
+                if ":" not in line:
+                    raise ChatParseError(lineno, "malformed tier line (no ':' after speaker)")
                 raise ChatParseError(lineno, "malformed tier line")
-            flush()
-            pending_speaker = m.group(1)
-            pending_text = [m.group(2)]
+            codes.append(m.group(1))
+            pieces += ("\n", m.group(2))
             mode = "utterance"
-        elif line.startswith("%"):
-            flush()
+        elif first == "%":
             mode = "dependent"
-        elif line.startswith("\t"):
+        elif first == "\t":
             if mode == "utterance":
-                pending_text.append(line.strip())
+                pieces += (" ", line.strip())
             elif mode == "dependent":
                 continue
             elif mode == "header" and headers:
@@ -118,8 +125,7 @@ def parse_chat(text: str) -> ChatDocument:
                 raise ChatParseError(lineno, "continuation without a tier")
         else:
             raise ChatParseError(lineno, "unclassified line")
-    flush()
-    return ChatDocument(tuple(utterances), tuple(headers))
+    return ChatDocument(tuple(codes), _clean("".join(pieces[1:])), tuple(headers))
 
 
 def parse_chat_file(path: str | Path) -> ChatDocument:
@@ -132,26 +138,18 @@ def extract_speaker_with_stats(
     drop_codes: Iterable[str] = DEFAULT_DROP_CODES,
 ) -> tuple[TokenSequence, int]:
     """Concatenate the tokens of the selected speakers in document order,
-    dropping unknown-word codes. Returns the sequence and the number of
-    dropped code tokens."""
+    lowercased, dropping unknown-word codes. Returns the sequence and the
+    number of dropped code tokens."""
     wanted = {s.upper() for s in speakers}
     if not wanted:
         raise DataError("no speakers requested")
     drop = {c.lower() for c in drop_codes}
-    kept: list[str] = []
-    dropped = 0
-    for utt in doc.utterances:
-        if utt.speaker not in wanted:
-            continue
-        for tok in utt.tokens:
-            low = tok.lower()
-            if low in drop:
-                dropped += 1
-            else:
-                kept.append(low)
+    lines = doc.text.split("\n")
+    words = "\n".join([line for code, line in zip(doc.codes, lines) if code in wanted]).lower().split()
+    kept = [w for w in words if w not in drop]
     if not kept:
         raise DataError("no tokens for speakers")
-    return sequence_from_surface(kept), dropped
+    return sequence_from_surface(kept), len(words) - len(kept)
 
 
 def extract_speaker(
@@ -164,10 +162,10 @@ def extract_speaker(
 
 def read_tokens(text: str) -> TokenSequence:
     """Whitespace tokenization, lowercased, ids in first-occurrence order."""
-    tokens = text.split()
+    tokens = text.lower().split()
     if not tokens:
         raise DataError("empty input")
-    return sequence_from_surface(tokens, lowercase=True)
+    return sequence_from_surface(tokens)
 
 
 def read_token_file(path: str | Path) -> TokenSequence:

@@ -318,13 +318,22 @@ def generate(params: ModelParams) -> TokenSequence:
     return generate_conjunct(params)
 
 
-def _relabel_first_occurrence(ids: np.ndarray) -> np.ndarray:
-    """Map arbitrary int labels to dense ids in first-occurrence order."""
-    uniq, first_pos, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    order = np.argsort(first_pos)
-    new_id = np.empty(uniq.size, dtype=np.int64)
-    new_id[order] = np.arange(uniq.size)
-    return new_id[inverse]
+def _relabel_first_occurrence(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map non-negative int labels to dense ids in first-occurrence order.
+    Returns the new ids and, for each new id, the label it replaces."""
+    labels, _, first = TokenSequence(ids).type_stats
+    labels = labels[np.argsort(first)]
+    new_id = np.empty(int(labels.max()) + 1, dtype=np.int64)
+    new_id[labels] = np.arange(labels.size)
+    return new_id[ids], labels
+
+
+def _resampled(ids: np.ndarray, source: TokenSequence) -> TokenSequence:
+    """A sequence drawn from `source`'s ids, relabelled in first-occurrence
+    order. Each type keeps its surface form; without a symbol table that is
+    its w<id> name in `source`, so a written token file is unchanged."""
+    new_ids, labels = _relabel_first_occurrence(ids)
+    return TokenSequence(new_ids, symbols=tuple(map(source.surface, labels.tolist())))
 
 
 def generate_zipf_iid(
@@ -340,14 +349,15 @@ def generate_zipf_iid(
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
     ranks = np.searchsorted(cdf, rng.random(length), side="right")
-    return TokenSequence(_relabel_first_occurrence(ranks))
+    return TokenSequence(_relabel_first_occurrence(ranks)[0])
 
 
 def generate_bigram(corpus: TokenSequence, length: int, seed: int) -> TokenSequence:
     """First-order Markov resample of a corpus: the first token comes from
     the unigram distribution, each next token from the empirical successor
     distribution of the current type. A type with no recorded successor
-    (it only closes the corpus) restarts from the unigram draw."""
+    (it only closes the corpus) restarts from the unigram draw. Ids are
+    relabelled in first-occurrence order; each type keeps its surface."""
     if corpus.m < 2:
         raise DataError("corpus too short for bigrams")
     if length < 1:
@@ -375,14 +385,15 @@ def generate_bigram(corpus: TokenSequence, length: int, seed: int) -> TokenSeque
         else:
             cur = corpus_list[int(u[step] * m_c)]
         append(cur)
-    return TokenSequence(np.array(out, dtype=np.int64), symbols=corpus.symbols)
+    return _resampled(np.array(out, dtype=np.int64), corpus)
 
 
 def shuffle(seq: TokenSequence, seed: int) -> TokenSequence:
-    """Uniform random permutation of the tokens (Fisher-Yates, PCG64)."""
+    """Uniform random permutation of the tokens (Fisher-Yates, PCG64), with
+    ids relabelled in first-occurrence order."""
     rng = np.random.default_rng(seed)
     perm = rng.permutation(seq.m)
-    return TokenSequence(seq.tokens[perm], symbols=seq.symbols)
+    return _resampled(seq.tokens[perm], seq)
 
 
 def file_metadata(model: str, params: dict, seed: int, seq: TokenSequence) -> dict:

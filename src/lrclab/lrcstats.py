@@ -147,11 +147,9 @@ def fit_power_law(
 
 
 def rank_frequency(seq: TokenSequence) -> RankFrequency:
-    """Exhaustive type frequencies in descending order, ties broken by first
-    occurrence in the sequence."""
-    _, freqs, first = seq.type_stats
-    order = np.lexsort((first, -freqs))
-    return RankFrequency(freqs[order])
+    """Exhaustive type frequencies in descending order. Only the frequencies
+    are kept, so the order among tied types cannot show."""
+    return RankFrequency(np.sort(seq.type_stats[1])[::-1])
 
 
 def fit_heaps(curve: TypeTokenCurve) -> PowerLawFit:

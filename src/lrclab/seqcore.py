@@ -102,15 +102,13 @@ class TokenSequence:
         return self.symbols == other.symbols and np.array_equal(self.tokens, other.tokens)
 
 
-def sequence_from_surface(surfaces: Iterable[str], lowercase: bool = False) -> TokenSequence:
+def sequence_from_surface(surfaces: Iterable[str]) -> TokenSequence:
     """Build a TokenSequence from surface tokens, assigning ids in
     first-occurrence order."""
     ids: dict[str, int] = {}
     out: list[int] = []
     append = out.append
     for tok in surfaces:
-        if lowercase:
-            tok = tok.lower()
         i = ids.get(tok)
         if i is None:
             i = len(ids)
@@ -247,8 +245,7 @@ class PowerLawFit:
 
 @dataclass(frozen=True, eq=False)
 class RankFrequency:
-    """Type frequencies in descending order; rank u is 1-based (index + 1).
-    Ties are broken by first occurrence in the source sequence."""
+    """Type frequencies in descending order; rank u is 1-based (index + 1)."""
 
     frequencies: np.ndarray
 

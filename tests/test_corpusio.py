@@ -1,8 +1,12 @@
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrclab.corpusio import (
+    DEFAULT_DROP_CODES,
     ChatParseError,
     extract_speaker,
     extract_speaker_with_stats,
@@ -16,6 +20,155 @@ from lrclab.seqcore import DataError, write_token_file
 DATA = Path(__file__).parent / "data"
 
 ROMEO = "Oh Romeo Romeo wherefore art thou Romeo"
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-utterance parser that cleaned each utterance on its own and
+# kept one token tuple per utterance. The bulk parser must agree with it on
+# every transcript, including the errors it raises.
+# ---------------------------------------------------------------------------
+
+_ORACLE_TIER_RE = re.compile(r"^\*([A-Z0-9]{2,3}):[ \t]?(.*)$")
+_ORACLE_BRACKETED_RE = re.compile(r"\[[^\]]*\]")
+_ORACLE_TERMINATORS = frozenset(".?!")
+
+
+def _oracle_clean_utterance(text):
+    text = _ORACLE_BRACKETED_RE.sub(" ", text)
+    text = text.replace("<", " ").replace(">", " ")
+    out = []
+    for tok in text.split():
+        if tok.startswith("&"):
+            continue
+        if all(ch in _ORACLE_TERMINATORS for ch in tok):
+            continue
+        out.append(tok)
+    return tuple(out)
+
+
+def oracle_parse_chat(text):
+    """(utterances as (speaker, tokens) pairs, headers)."""
+    headers = []
+    utterances = []
+    pending_speaker = None
+    pending_text = []
+    mode = None
+
+    def flush():
+        nonlocal pending_speaker, pending_text
+        if pending_speaker is not None:
+            utterances.append((pending_speaker, _oracle_clean_utterance(" ".join(pending_text))))
+        pending_speaker = None
+        pending_text = []
+
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.rstrip("\r")
+        if not line.strip():
+            continue
+        if line.startswith("@"):
+            flush()
+            headers.append(line)
+            mode = "header"
+        elif line.startswith("*"):
+            if ":" not in line:
+                raise ChatParseError(lineno, "malformed tier line (no ':' after speaker)")
+            m = _ORACLE_TIER_RE.match(line)
+            if m is None:
+                raise ChatParseError(lineno, "malformed tier line")
+            flush()
+            pending_speaker = m.group(1)
+            pending_text = [m.group(2)]
+            mode = "utterance"
+        elif line.startswith("%"):
+            flush()
+            mode = "dependent"
+        elif line.startswith("\t"):
+            if mode == "utterance":
+                pending_text.append(line.strip())
+            elif mode == "dependent":
+                continue
+            elif mode == "header" and headers:
+                headers[-1] = headers[-1] + " " + line.strip()
+            else:
+                raise ChatParseError(lineno, "continuation without a tier")
+        else:
+            raise ChatParseError(lineno, "unclassified line")
+    flush()
+    return tuple(utterances), tuple(headers)
+
+
+def oracle_extract(utterances, speakers, drop_codes):
+    """(kept surfaces, dropped count), lowercasing token by token."""
+    wanted = {s.upper() for s in speakers}
+    drop = {c.lower() for c in drop_codes}
+    kept = []
+    dropped = 0
+    for speaker, tokens in utterances:
+        if speaker not in wanted:
+            continue
+        for tok in tokens:
+            low = tok.lower()
+            if low in drop:
+                dropped += 1
+            else:
+                kept.append(low)
+    if not kept:
+        raise DataError("no tokens for speakers")
+    return kept, dropped
+
+
+# Whitespace that str.split() and re's \s both treat as a separator, though
+# only "\n" ends a line.
+_SEPARATORS = (" ", "  ", "\t", "\r", "\x1c", "\x85", "\xa0", "\u2028", "\u3000")
+_WORDS = (
+    "ball", "Ball", "ΟΔΟΣ", "ΑΣ", "Σ", "İ", "ß", "ǅ", "xxx", "XXX", "Www", "yyy",
+    "&", "&um", "&=laughs", "..?", ".", "?", "!", "a.", ".a", "a&", "<&x>", "<the", "ball>",
+    "[?]", "[", "]", "[: doggie", "points]", "[//]", "[=", "x]y", "<", ">",
+)
+_word = st.one_of(st.sampled_from(_WORDS), st.text(alphabet="ab&.?!<>[]Σİ", min_size=1, max_size=4))
+
+
+@st.composite
+def _body(draw):
+    words = draw(st.lists(_word, max_size=6))
+    out = draw(st.sampled_from(("", " ", "\t")))
+    for w in words:
+        out += w + draw(st.sampled_from(_SEPARATORS))
+    return out
+
+
+@st.composite
+def _line(draw, malformed):
+    kinds = ["tier", "tier", "tier", "continuation", "continuation", "dependent", "header", "blank"]
+    codes = ["CHI", "MOT", "AB1"]
+    if malformed:
+        kinds.append("bad")
+        codes += ["chi", "C", "CHILD"]
+    kind = draw(st.sampled_from(kinds))
+    body = draw(_body())
+    if kind == "tier":
+        code = draw(st.sampled_from(codes))
+        sep = draw(st.sampled_from(("\t", " ", "", "  ")))
+        return f"*{code}:{sep}{body}"
+    if kind == "continuation":
+        return "\t" + body
+    if kind == "dependent":
+        return "%mor:\t" + body
+    if kind == "header":
+        return "@" + body
+    if kind == "blank":
+        return draw(st.sampled_from(("", " ", "\t", "\x1c", "\u3000", "\t \x85")))
+    return draw(st.sampled_from(("*CHI more", "just text", " lead", "*", "\u3000x")))
+
+
+@st.composite
+def transcripts(draw):
+    # Mostly well-formed: a malformed line ends the parse at once.
+    malformed = draw(st.integers(0, 3)) == 0
+    lines = draw(st.lists(_line(malformed), max_size=12))
+    if draw(st.integers(0, 3)):
+        lines.insert(0, "*CHI:\t" + draw(_body()))
+    return "".join(ln + draw(st.sampled_from(("\n", "\r\n"))) for ln in lines)
 
 
 class TestParseChat:
@@ -146,3 +299,71 @@ class TestReadTokens:
         path.write_text("")
         with pytest.raises(DataError, match="empty.txt"):
             read_token_file(path)
+
+
+class TestBulkCleaningMatchesOracle:
+    @given(
+        transcripts(),
+        st.sampled_from(({"CHI"}, {"mot"}, {"CHI", "MOT", "AB1"})),
+        st.sampled_from((DEFAULT_DROP_CODES, {"BALL", "&"}, set())),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_generated_transcripts(self, text, speakers, drop_codes):
+        try:
+            want = oracle_parse_chat(text)
+        except ChatParseError as exc:
+            with pytest.raises(ChatParseError) as got:
+                parse_chat(text)
+            assert str(got.value) == str(exc)
+            assert got.value.line_number == exc.line_number
+            return
+        doc = parse_chat(text)
+        try:
+            kept, dropped = oracle_extract(want[0], speakers, drop_codes)
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                extract_speaker_with_stats(doc, speakers, drop_codes)
+            assert str(got.value) == str(exc)
+        else:
+            seq, n_dropped = extract_speaker_with_stats(doc, speakers, drop_codes)
+            assert list(seq.surfaces()) == kept
+            assert n_dropped == dropped
+        assert "utterances" not in doc.__dict__
+        assert tuple((u.speaker, u.tokens) for u in doc.utterances) == want[0]
+        assert doc.headers == want[1]
+        assert doc.speakers() == {speaker for speaker, _ in want[0]}
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # An unclosed '[' spans continuation lines of its utterance ...
+            "*CHI:\tone [= points\n\tat toy] two .\n",
+            # ... but never the next utterance.
+            "*CHI:\tone [two\n*CHI:\tthree] four .\n",
+            "*CHI:\tone [two\n%com:\tx]\n*MOT:\tthree] .\n",
+            "*CHI:\tup\r\n\t \r\n\tdown [?]\r\n",
+            "*CHI:\ta\x1cb\x85c\xa0d\u2028e\u3000f .\n",
+            "*CHI:\tΟΔΟΣ ΑΣ\x85Σ İ ǅ .\n",
+            "*CHI:\t& ..? a. <&x> &um ?!.\n",
+        ],
+    )
+    def test_edge_cases(self, text):
+        want = oracle_parse_chat(text)
+        doc = parse_chat(text)
+        kept, dropped = oracle_extract(want[0], {"CHI"}, DEFAULT_DROP_CODES)
+        seq, n_dropped = extract_speaker_with_stats(doc, {"CHI"})
+        assert (list(seq.surfaces()), n_dropped) == (kept, dropped)
+        assert tuple((u.speaker, u.tokens) for u in doc.utterances) == want[0]
+
+    def test_extraction_builds_no_utterances(self):
+        doc = parse_chat_file(DATA / "sample.cha")
+        extract_speaker_with_stats(doc, {"CHI"})
+        assert "utterances" not in doc.__dict__
+        assert len(doc.utterances) == 10
+        assert "utterances" in doc.__dict__
+
+    def test_document_shape(self):
+        doc = parse_chat("@Begin\n*CHI:\tThe [?] ball .\n%mor:\tx\n*MOT:\t&um .\n")
+        assert doc.codes == ("CHI", "MOT")
+        assert [line.split() for line in doc.text.split("\n")] == [["The", "ball"], []]
+        assert doc.headers == ("@Begin",)

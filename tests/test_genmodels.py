@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -372,9 +374,13 @@ class TestBigram:
         rng = np.random.default_rng(6)
         corpus = TokenSequence(rng.integers(0, 20, size=2000))
         seq = generate_bigram(corpus, 5000, 7)
-        bigrams = set(zip(corpus.tokens[:-1].tolist(), corpus.tokens[1:].tolist()))
+        # The output is relabelled, so pairs are compared by surface form.
+        source = list(corpus.surfaces())
+        bigrams = set(zip(source[:-1], source[1:]))
         heads_with_succ = {h for h, _ in bigrams}
-        for x, y in zip(seq.tokens[:-1].tolist(), seq.tokens[1:].tolist()):
+        out = list(seq.surfaces())
+        assert set(out) <= set(source)
+        for x, y in zip(out[:-1], out[1:]):
             if x in heads_with_succ:
                 assert (x, y) in bigrams
 
@@ -396,7 +402,8 @@ class TestShuffle:
         rng = np.random.default_rng(10)
         seq = TokenSequence(rng.integers(0, 30, size=4000))
         out = shuffle(seq, 5)
-        assert np.array_equal(np.bincount(out.tokens), np.bincount(seq.tokens))
+        # The output is relabelled, so types are compared by surface form.
+        assert Counter(out.surfaces()) == Counter(seq.surfaces())
 
     def test_rank_frequency_preserved(self):
         rng = np.random.default_rng(12)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrclab.corpusio import read_token_file
+from lrclab.corpusio import extract_speaker, parse_chat, read_token_file, read_tokens
+from lrclab.genmodels import ModelParams, generate, generate_bigram, generate_zipf_iid, shuffle
 from lrclab.seqcore import (
     AcfCurve,
     DataError,
@@ -205,3 +206,57 @@ class TestTypeValidation:
     def test_type_token_first_sample(self):
         with pytest.raises(DataError):
             TypeTokenCurve(np.array([1, 2]), np.array([2, 2]))
+
+
+def assert_canonical(seq):
+    """Ids are dense and numbered in order of first occurrence, and a symbol
+    table has one entry per id."""
+    ids, _, first = seq.type_stats
+    assert np.array_equal(ids, np.arange(ids.size))
+    assert np.all(np.diff(first) > 0)
+    assert seq.symbols is None or len(seq.symbols) == ids.size
+
+
+_source_ids = st.lists(st.integers(0, 40).map(lambda x: x * x + 3), min_size=2, max_size=200)
+
+
+class TestProducersReturnCanonicalIds:
+    """Every public producer of a TokenSequence numbers ids in first-occurrence
+    order, whatever the ids of its input."""
+
+    @given(
+        st.sampled_from(("simon", "pitman_yor", "conjunct")),
+        st.floats(0.05, 0.95),
+        st.floats(0.0, 3.0),
+        st.integers(1, 400),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_incremental_generators(self, model, a, b, length, seed):
+        if model == "simon":
+            params = ModelParams(model=model, length=length, seed=seed, alpha=a)
+        else:
+            params = ModelParams(model=model, length=length, seed=seed, a=a, b=b)
+        assert_canonical(generate(params))
+
+    @given(st.integers(1, 60), st.floats(0.3, 2.0), st.integers(1, 400), st.integers(0, 2**32))
+    @settings(max_examples=30, deadline=None)
+    def test_zipf(self, vocab, exponent, length, seed):
+        assert_canonical(generate_zipf_iid(vocab, exponent, length, seed))
+
+    @given(_source_ids, st.booleans(), st.integers(1, 300), st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_shuffle_and_bigram(self, ids, named, length, seed):
+        symbols = tuple(f"s{i}" for i in range(max(ids) + 1)) if named else None
+        source = TokenSequence(np.array(ids), symbols=symbols)
+        for out in (shuffle(source, seed), generate_bigram(source, length, seed)):
+            assert_canonical(out)
+            assert set(out.surfaces()) <= set(source.surfaces())
+        assert sorted(shuffle(source, seed).surfaces()) == sorted(source.surfaces())
+
+    @given(st.lists(st.sampled_from(("a", "B", "b", "Σ", "ΟΔΟΣ", "İ", "xxx")), min_size=1, max_size=50))
+    @settings(max_examples=40, deadline=None)
+    def test_readers(self, words):
+        assert_canonical(read_tokens(" ".join(words)))
+        doc = parse_chat("".join(f"*CHI:\t{w} .\n" for w in words) + "*CHI:\tend .\n")
+        assert_canonical(extract_speaker(doc, {"CHI"}))
