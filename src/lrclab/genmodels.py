@@ -18,6 +18,7 @@ Every sequence starts from the same state: one type with one occurrence.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -357,35 +358,38 @@ def generate_bigram(corpus: TokenSequence, length: int, seed: int) -> TokenSeque
     the unigram distribution, each next token from the empirical successor
     distribution of the current type. A type with no recorded successor
     (it only closes the corpus) restarts from the unigram draw. Ids are
-    relabelled in first-occurrence order; each type keeps its surface."""
+    relabelled in first-occurrence order; each type keeps its surface.
+
+    Every draw reads table[start[cur] + int(u * width[cur])]: the table
+    holds each type's successors in corpus order, then the whole corpus,
+    which serves the first draw (from a virtual state past the last type)
+    and every restart."""
     if corpus.m < 2:
         raise DataError("corpus too short for bigrams")
     if length < 1:
         raise DataError("parameter out of range")
     rng = np.random.default_rng(seed)
     ids = corpus.tokens
-    heads = ids[:-1]
-    order = np.argsort(heads, kind="stable")
-    successors = ids[1:][order].tolist()
-    n_types = int(ids.max()) + 1
-    head_counts = np.bincount(heads, minlength=n_types)
-    offsets = np.concatenate(([0], np.cumsum(head_counts))).tolist()
-    head_counts = head_counts.tolist()
-    corpus_list = ids.tolist()
     m_c = corpus.m
+    heads = ids[:-1]
+    table = memoryview(np.concatenate((ids[1:][np.argsort(heads, kind="stable")], ids)))
+    n_types = int(ids.max()) + 1
+    width = np.bincount(heads, minlength=n_types + 1)
+    start = np.concatenate(([0], np.cumsum(width[:-1])))
+    restart = width == 0
+    start[restart] = m_c - 1
+    width[restart] = m_c
+    start, width = start.tolist(), width.tolist()
 
-    u = rng.random(length).tolist()
-    out = [corpus_list[int(u[0] * m_c)]]
+    u = rng.random(length)
+    out = array("q")
     append = out.append
-    cur = out[0]
-    for step in range(1, length):
-        n_succ = head_counts[cur]
-        if n_succ:
-            cur = successors[offsets[cur] + int(u[step] * n_succ)]
-        else:
-            cur = corpus_list[int(u[step] * m_c)]
+    cur = n_types
+    for x in memoryview(u):
+        cur = table[start[cur] + int(x * width[cur])]
         append(cur)
-    return _resampled(np.array(out, dtype=np.int64), corpus)
+    del table, u
+    return _resampled(np.frombuffer(out, dtype=np.int64), corpus)
 
 
 def shuffle(seq: TokenSequence, seed: int) -> TokenSequence:

@@ -75,13 +75,20 @@ def select_rare_set(seq: TokenSequence, n: int = DEFAULT_RARITY) -> set[int]:
     if seq.m < n:
         raise DataError("sequence too short")
     ids, freqs, first = seq.type_stats
-    order = np.lexsort((first, freqs))
-    cum = np.cumsum(freqs[order])
     target = seq.m // n
-    k = int(np.searchsorted(cum, target, side="right"))
-    if (k == 0 or cum[k - 1] < target) and k < ids.size:
-        k += 1
-    return set(ids[order[:k]].tolist())
+    # covered[f]: tokens of all types with frequency <= f. Every type below
+    # the first level f where that exceeds the target is taken; the prefix
+    # ends inside level f, whose types alone need ordering by first position.
+    hist = np.bincount(freqs)
+    covered = np.cumsum(hist * np.arange(hist.size))
+    level = int(np.searchsorted(covered, target, side="right"))
+    below = int(covered[level - 1])
+    take = (target - below) // level
+    if below + take * level < target:
+        take += 1
+    at_level = np.flatnonzero(freqs == level)
+    chosen = at_level[np.argsort(first[at_level], kind="stable")[:take]]
+    return set(np.concatenate((ids[freqs < level], ids[chosen])).tolist())
 
 
 def extract_intervals(

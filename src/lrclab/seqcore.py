@@ -7,8 +7,10 @@ All types are immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -106,7 +108,7 @@ def sequence_from_surface(surfaces: Iterable[str]) -> TokenSequence:
     """Build a TokenSequence from surface tokens, assigning ids in
     first-occurrence order."""
     ids: dict[str, int] = {}
-    out: list[int] = []
+    out = array("q")
     append = out.append
     for tok in surfaces:
         i = ids.get(tok)
@@ -116,7 +118,7 @@ def sequence_from_surface(surfaces: Iterable[str]) -> TokenSequence:
         append(i)
     if not out:
         raise DataError("empty input")
-    return TokenSequence(np.array(out, dtype=np.int64), symbols=tuple(ids))
+    return TokenSequence(np.frombuffer(out, dtype=np.int64), symbols=tuple(ids))
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,16 +321,18 @@ class TypeTokenCurve:
 def write_token_file(seq: TokenSequence, path: str | Path) -> None:
     """Write one surface token per line (ids render as w<id> when there is
     no symbol table)."""
+    names = seq.symbols
+    if names is None:
+        names = [f"w{i}" for i in range(int(seq.tokens.max()) + 1)]
+    words = np.array(names, dtype=object)[seq.tokens]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(seq.surfaces()))
+        fh.write("\n".join(words.tolist()))
         fh.write("\n")
 
 
 def _write_csv(path: str | Path, header: str, rows: Iterable[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+        fh.write("\n".join(chain((header,), rows)) + "\n")
 
 
 def _read_csv(path: str | Path, expected_header: str) -> list[list[str]]:

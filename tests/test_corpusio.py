@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrclab import corpusio
 from lrclab.corpusio import (
     DEFAULT_DROP_CODES,
     ChatParseError,
@@ -15,7 +16,7 @@ from lrclab.corpusio import (
     read_token_file,
     read_tokens,
 )
-from lrclab.seqcore import DataError, write_token_file
+from lrclab.seqcore import DataError, sequence_from_surface, write_token_file
 
 DATA = Path(__file__).parent / "data"
 
@@ -367,3 +368,67 @@ class TestBulkCleaningMatchesOracle:
         assert doc.codes == ("CHI", "MOT")
         assert [line.split() for line in doc.text.split("\n")] == [["The", "ball"], []]
         assert doc.headers == ("@Begin",)
+
+
+# ---------------------------------------------------------------------------
+# Block edges: transcripts and token files are split in blocks of about
+# corpusio._BLOCK_CHARS characters. With blocks of a few characters every
+# line and word edge becomes a block edge.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="class", params=[1, 2, 7])
+def small_blocks(request):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpusio, "_BLOCK_CHARS", request.param)
+        yield request.param
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestBulkCleaningAtBlockEdges(TestBulkCleaningMatchesOracle):
+    pass
+
+
+def read_tokens_oracle(text):
+    """Lowercase and split the whole text at once."""
+    return sequence_from_surface(text.lower().split())
+
+
+_ALL_SPACES = "".join(c for c in map(chr, range(0x110000)) if c.isspace())
+_TOKEN_TEXT = (
+    "ΟΔΟΣ\x1cΑΣ\x85Σ\u3000aΣ\r\nΣa ΣΣ\tİx\r\nǅ "
+    + "Σ".join(_ALL_SPACES)
+    + "Σ"
+    + "aΣ".join(_ALL_SPACES)
+)
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestReadTokensAtBlockEdges:
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(("Σ", "aΣ", "ΑΣ", "Σa", "İ", "ǅ", "x", "\r\n", "\x1c", "\x85", "\u3000", " ")),
+                st.sampled_from(_ALL_SPACES),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_generated_text(self, parts):
+        text = "".join(parts)
+        if not text.split():
+            with pytest.raises(DataError, match="empty input"):
+                read_tokens(text)
+            return
+        assert read_tokens(text) == read_tokens_oracle(text)
+
+    def test_every_separator_at_an_edge(self):
+        assert read_tokens(_TOKEN_TEXT) == read_tokens_oracle(_TOKEN_TEXT)
+
+
+def test_space_pattern_is_str_split_whitespace():
+    """Blocks are cut where re's \\s matches; str.split() must cut there too."""
+    matched = "".join(corpusio._SPACE_RE.findall("".join(map(chr, range(0x110000)))))
+    assert matched == _ALL_SPACES

@@ -6,6 +6,7 @@ from scipy.stats import chisquare
 
 from lrclab.genmodels import (
     _eta_innovations,
+    _resampled,
     _resolve,
     GeneratorState,
     ModelParams,
@@ -363,7 +364,60 @@ class TestZipfIid:
         assert np.all(np.diff(first[order]) > 0)
 
 
+def bigram_oracle(corpus, length, seed):
+    """The per-step resampler: one branch for the successor draw and one
+    for the restart of a type without successors, over Python lists."""
+    rng = np.random.default_rng(seed)
+    ids = corpus.tokens
+    heads = ids[:-1]
+    order = np.argsort(heads, kind="stable")
+    successors = ids[1:][order].tolist()
+    n_types = int(ids.max()) + 1
+    head_counts = np.bincount(heads, minlength=n_types)
+    offsets = np.concatenate(([0], np.cumsum(head_counts))).tolist()
+    head_counts = head_counts.tolist()
+    corpus_list = ids.tolist()
+    m_c = corpus.m
+    u = rng.random(length).tolist()
+    out = [corpus_list[int(u[0] * m_c)]]
+    cur = out[0]
+    for step in range(1, length):
+        n_succ = head_counts[cur]
+        if n_succ:
+            cur = successors[offsets[cur] + int(u[step] * n_succ)]
+        else:
+            cur = corpus_list[int(u[step] * m_c)]
+        out.append(cur)
+    return _resampled(np.array(out, dtype=np.int64), corpus)
+
+
+_BIGRAM_CORPORA = {
+    "named": TokenSequence(np.array([0, 1, 0, 2, 1, 0, 3, 2, 2, 1]), symbols=("a", "b", "c", "d")),
+    "unnamed": TokenSequence(np.random.default_rng(14).integers(0, 40, size=3000)),
+    "sparse": TokenSequence(np.random.default_rng(15).integers(0, 6, size=500) * 9 + 4),
+    # The last type occurs once, at the end: it has no successor, so a
+    # draw that reaches it restarts from the whole corpus.
+    "closing_type": TokenSequence(np.array([0, 1, 2, 1, 0, 2, 2, 1, 3]), symbols=("w", "x", "y", "z")),
+}
+
+
 class TestBigram:
+    @pytest.mark.parametrize("name", sorted(_BIGRAM_CORPORA))
+    @pytest.mark.parametrize("length", [1, 2, 1000])
+    def test_matches_per_step_oracle(self, name, length):
+        corpus = _BIGRAM_CORPORA[name]
+        for seed in range(10):
+            got = generate_bigram(corpus, length, seed)
+            want = bigram_oracle(corpus, length, seed)
+            assert got == want
+            assert list(got.surfaces()) == list(want.surfaces())
+
+    def test_closing_type_restarts(self):
+        corpus = _BIGRAM_CORPORA["closing_type"]
+        out = list(generate_bigram(corpus, 1000, 2).surfaces())
+        restarts = [nxt for cur, nxt in zip(out[:-1], out[1:]) if cur == "z"]
+        assert restarts and set(restarts) <= {"w", "x", "y", "z"}
+
     def test_alternating_corpus(self):
         corpus = TokenSequence(np.array([0, 1, 0, 1]), symbols=("a", "b"))
         seq = generate_bigram(corpus, 200, 3)
