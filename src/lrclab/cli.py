@@ -26,7 +26,7 @@ from .genmodels import (
     generate_zipf_iid,
     shuffle,
 )
-from .seqcore import DataError, write_token_file
+from .seqcore import DataError, write_json, write_token_file
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -36,10 +36,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -70,7 +66,7 @@ def _cmd_generate(args: argparse.Namespace, parser: _Parser) -> int:
         seq = generate_zipf_iid(args.vocab, args.exponent, args.length, args.seed)
         write_token_file(seq, out)
         params = {"vocab_size": args.vocab, "exponent": args.exponent}
-        _write_json(Path(str(out) + ".meta.json"), file_metadata("zipf", params, args.seed, seq))
+        write_json(str(out) + ".meta.json", file_metadata("zipf", params, args.seed, seq))
         return 0
     if model == "bigram":
         if args.corpus is None:
@@ -79,7 +75,7 @@ def _cmd_generate(args: argparse.Namespace, parser: _Parser) -> int:
         seq = generate_bigram(corpus, args.length, args.seed)
         write_token_file(seq, out)
         params = {"corpus": str(args.corpus)}
-        _write_json(Path(str(out) + ".meta.json"), file_metadata("bigram", params, args.seed, seq))
+        write_json(str(out) + ".meta.json", file_metadata("bigram", params, args.seed, seq))
         return 0
     parser.error(f"unknown model {model}")
     return USAGE_EXIT
@@ -90,7 +86,7 @@ def _cmd_shuffle(args: argparse.Namespace) -> int:
     out_seq = shuffle(seq, args.seed)
     write_token_file(out_seq, args.out)
     params = {"input": str(args.input)}
-    _write_json(Path(str(args.out) + ".meta.json"), file_metadata("shuffle", params, args.seed, out_seq))
+    write_json(str(args.out) + ".meta.json", file_metadata("shuffle", params, args.seed, out_seq))
     return 0
 
 
@@ -114,7 +110,7 @@ def _cmd_chat_extract(args: argparse.Namespace) -> int:
         "speakers": sorted(s.upper() for s in speakers),
         "dropped_token_count": dropped,
     }
-    _write_json(Path(str(args.out) + ".provenance.json"), provenance)
+    write_json(str(args.out) + ".provenance.json", provenance)
     return 0
 
 
@@ -186,10 +182,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_chat_extract(args)
         if args.command == "figure":
             return _cmd_figure(args)
-    except DataError as exc:
-        print(f"lrclab: error: {exc}", file=sys.stderr)
-        return DATA_EXIT
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"lrclab: error: {exc}", file=sys.stderr)
         return DATA_EXIT
     parser.error("no command given")

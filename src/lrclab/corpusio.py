@@ -161,7 +161,11 @@ def parse_chat(text: str) -> ChatDocument:
 
 
 def parse_chat_file(path: str | Path) -> ChatDocument:
-    return parse_chat(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    return parse_chat(text)
 
 
 def extract_speaker_with_stats(
@@ -218,7 +222,7 @@ def read_tokens(text: str) -> TokenSequence:
 def read_token_file(path: str | Path) -> TokenSequence:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     try:
         return read_tokens(text)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable
 
@@ -24,9 +24,12 @@ from .genmodels import ModelParams, generate, run_metadata
 from .seqcore import (
     DataError,
     TokenSequence,
+    _write_csv,
+    open_output,
     read_acf_csv,
     write_acf_csv,
     write_intervals_csv,
+    write_json,
     write_rank_frequency_csv,
     write_token_file,
     write_type_token_csv,
@@ -35,6 +38,18 @@ from .seqcore import (
 FIGURE_IDS = ("rankfreq", "typetoken", "acf", "sweep_map")
 
 SWEEP_MODELS = ("simon", "pitman_yor", "conjunct")
+
+GRID_AXES = ("alpha_values", "a_values", "b_values")
+
+
+def _floats(values) -> tuple[float, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"expected a list of numbers, got {values!r}")
+    return tuple(float(x) for x in values)
+
+
+# How from_dict converts each JSON value, by field annotation.
+_SPEC_CONVERTERS = {"str": str, "int": int, "tuple[float, ...]": _floats}
 
 
 @dataclass(frozen=True)
@@ -53,14 +68,19 @@ class SweepSpec:
     b_values: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        for field in ("alpha_values", "a_values", "b_values"):
-            object.__setattr__(self, field, tuple(getattr(self, field)))
+        for axis in GRID_AXES:
+            values = tuple(getattr(self, axis))
+            if len(set(values)) != len(values):
+                raise DataError(f"{axis} has repeated values")
+            object.__setattr__(self, axis, values)
         if self.model not in SWEEP_MODELS:
             raise DataError(f"unknown sweep model '{self.model}'")
         if self.replicates < 1:
             raise DataError("replicates must be >= 1")
         if self.length < 1:
             raise DataError("length must be >= 1")
+        if self.n < 2:
+            raise DataError("rarity divisor must be at least 2")
         if self.model == "simon":
             if not self.alpha_values or self.a_values or self.b_values:
                 raise DataError("simon sweeps take alpha_values only")
@@ -74,54 +94,34 @@ class SweepSpec:
         return [(a, b) for a in sorted(self.a_values) for b in sorted(self.b_values)]
 
     def to_dict(self) -> dict:
-        d: dict = {
-            "model": self.model,
-            "replicates": self.replicates,
-            "length": self.length,
-            "base_seed": self.base_seed,
-            "n": self.n,
-        }
-        if self.model == "simon":
-            d["alpha_values"] = list(self.alpha_values)
-        else:
-            d["a_values"] = list(self.a_values)
-            d["b_values"] = list(self.b_values)
-        return d
+        """The spec's fields, without the grid axes this model does not use."""
+        return {k: v for k, v in asdict(self).items() if k not in GRID_AXES or v}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "SweepSpec":
-        known = {
-            "model",
-            "replicates",
-            "length",
-            "base_seed",
-            "n",
-            "alpha_values",
-            "a_values",
-            "b_values",
-        }
-        unknown = set(d) - known
+    def from_dict(cls, d: object) -> "SweepSpec":
+        if not isinstance(d, dict):
+            raise DataError("sweep spec must be a JSON object")
+        known = {f.name: f for f in fields(cls)}
+        unknown = set(d) - set(known)
         if unknown:
             raise DataError(f"unknown sweep spec fields: {sorted(unknown)}")
-        for key in ("model", "replicates", "length", "base_seed"):
-            if key not in d:
-                raise DataError(f"sweep spec missing '{key}'")
-        return cls(
-            model=str(d["model"]),
-            replicates=int(d["replicates"]),
-            length=int(d["length"]),
-            base_seed=int(d["base_seed"]),
-            n=int(d.get("n", lrcstats.DEFAULT_RARITY)),
-            alpha_values=tuple(float(x) for x in d.get("alpha_values", ())),
-            a_values=tuple(float(x) for x in d.get("a_values", ())),
-            b_values=tuple(float(x) for x in d.get("b_values", ())),
-        )
+        kwargs = {}
+        for name, f in known.items():
+            if name not in d:
+                if f.default is MISSING:
+                    raise DataError(f"sweep spec missing '{name}'")
+                continue
+            try:
+                kwargs[name] = _SPEC_CONVERTERS[f.type](d[name])
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"sweep spec field '{name}': {exc}") from exc
+        return cls(**kwargs)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SweepSpec":
         try:
             d = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"cannot read sweep spec {path}: {exc}") from exc
         return cls.from_dict(d)
 
@@ -223,7 +223,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
         for rep in range(spec.replicates)
     ]
     if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # A forked pool starts all its workers at the first submit.
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             records = list(pool.map(_run_cell_job, jobs))
     else:
         records = [_run_cell_job(job) for job in jobs]
@@ -236,83 +237,46 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
 
 
 def _fmt(value) -> str:
+    """One CSV field. Strings are quoted per RFC 4180 (an embedded '"' is
+    doubled); None and the empty string give an empty field."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, str):
+        return '"{}"'.format(value.replace('"', '""')) if value else ""
     return str(value)
 
 
-def _cell_columns(model: str) -> list[str]:
-    return ["alpha"] if model == "simon" else ["a", "b"]
+def _write_table(path: Path, cell_cols: list[str], kind: type, rows: Iterable) -> None:
+    """One row per record: the cell values, then every field of `kind`
+    after `cell`, in declaration order."""
+    names = [f.name for f in fields(kind)][1:]
+
+    def line(row) -> str:
+        values = [*row.cell, *(getattr(row, n) for n in names)]
+        return ",".join(_fmt(v) for v in values)
+
+    _write_csv(path, ",".join(cell_cols + names), map(line, rows))
 
 
 def write_sweep_result(result: SweepResult, out_dir: str | Path) -> dict[str, Path]:
     """Write records.csv, aggregates.csv and a sweep.json manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cell_cols = _cell_columns(result.spec.model)
-
-    records_path = out / "records.csv"
-    header = cell_cols + [
-        "replicate",
-        "seed",
-        "gamma",
-        "gamma_fit_error",
-        "heaps_zeta",
-        "lrc_verdict",
-        "acf_points",
-        "error",
-    ]
-    with open(records_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for r in result.records:
-            row = [_fmt(v) for v in r.cell]
-            row += [
-                _fmt(r.replicate),
-                _fmt(r.seed),
-                _fmt(r.gamma),
-                _fmt(r.gamma_fit_error),
-                _fmt(r.heaps_zeta),
-                _fmt(r.lrc_verdict),
-                _fmt(r.acf_points),
-                '"{}"'.format(r.error.replace('"', '""')) if r.error else "",
-            ]
-            fh.write(",".join(row) + "\n")
-
-    aggregates_path = out / "aggregates.csv"
-    header = cell_cols + [
-        "replicates",
-        "mean_gamma",
-        "sd_gamma",
-        "lrc_fraction",
-        "mean_fit_error",
-        "pooled_fit_error",
-    ]
-    with open(aggregates_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for agg in result.aggregates:
-            row = [_fmt(v) for v in agg.cell]
-            row += [
-                _fmt(agg.replicates),
-                _fmt(agg.mean_gamma),
-                _fmt(agg.sd_gamma),
-                _fmt(agg.lrc_fraction),
-                _fmt(agg.mean_fit_error),
-                _fmt(agg.pooled_fit_error),
-            ]
-            fh.write(",".join(row) + "\n")
-
-    manifest_path = out / "sweep.json"
-    manifest = {
-        "spec": result.spec.to_dict(),
-        "records": "records.csv",
-        "aggregates": "aggregates.csv",
+    cell_cols = ["alpha"] if result.spec.model == "simon" else ["a", "b"]
+    files = {
+        "records": out / "records.csv",
+        "aggregates": out / "aggregates.csv",
+        "manifest": out / "sweep.json",
     }
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    return {"records": records_path, "aggregates": aggregates_path, "manifest": manifest_path}
+    _write_table(files["records"], cell_cols, SweepRecord, result.records)
+    _write_table(files["aggregates"], cell_cols, CellAggregate, result.aggregates)
+    manifest = {"spec": result.spec.to_dict(), "records": "records.csv", "aggregates": "aggregates.csv"}
+    write_json(files["manifest"], manifest)
+    return files
 
 
 def resolve_rare_ids(seq: TokenSequence, rare_words: Iterable[str]) -> set[int]:
@@ -352,9 +316,8 @@ def write_analysis(report: lrcstats.AnalysisReport, out_dir: str | Path) -> dict
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files: dict[str, Path] = {}
-    report_path = out / "report.json"
-    report_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
-    files["report"] = report_path
+    files["report"] = out / "report.json"
+    write_json(files["report"], report.to_dict())
     write_rank_frequency_csv(report.rank, out / "rankfreq.csv")
     files["rankfreq"] = out / "rankfreq.csv"
     write_type_token_csv(report.typetoken, out / "typetoken.csv")
@@ -394,11 +357,11 @@ def emit_figure_data(
         cell_cols = [c for c in header if c in ("alpha", "a", "b")]
         idx = {c: header.index(c) for c in cell_cols}
         frac_idx = header.index("lrc_fraction")
-        out_path = out / "sweep_map.csv"
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(cell_cols + ["lrc_fraction"]) + "\n")
-            for row in rows:
-                fh.write(",".join([row[idx[c]] for c in cell_cols] + [row[frac_idx]]) + "\n")
+        _write_csv(
+            out / "sweep_map.csv",
+            ",".join(cell_cols + ["lrc_fraction"]),
+            (",".join([row[idx[c]] for c in cell_cols] + [row[frac_idx]]) for row in rows),
+        )
         if len(cell_cols) == 2:
             entry = {"file": "sweep_map.csv", "x": cell_cols[0], "y": cell_cols[1], "value": "lrc_fraction"}
         else:
@@ -410,8 +373,8 @@ def emit_figure_data(
         src_path = src / name
         if not src_path.exists():
             raise DataError(f"{src_path} not found (run an analysis first)")
-        out_path = out / name
-        out_path.write_text(src_path.read_text(encoding="utf-8"), encoding="utf-8")
+        with open_output(out / name) as fh:
+            fh.write(src_path.read_text(encoding="utf-8"))
         manifest["files"].append({"file": name, "x": axes[0], "y": axes[1]})
         if figure_id == "acf":
             report = json.loads((src / "report.json").read_text(encoding="utf-8"))
@@ -419,7 +382,7 @@ def emit_figure_data(
             fit = lrcstats.fit_power_law(curve.points, decay=True)
             manifest["fit"] = {"exponent": fit.exponent, "amplitude": fit.amplitude}
 
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    write_json(out / "manifest.json", manifest)
     return manifest
 
 
@@ -429,7 +392,5 @@ def generate_to_file(params: ModelParams, out_path: str | Path) -> dict:
     seq = generate(params)
     write_token_file(seq, out_path)
     meta = run_metadata(params, seq)
-    Path(str(out_path) + ".meta.json").write_text(
-        json.dumps(meta, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(str(out_path) + ".meta.json", meta)
     return meta

@@ -261,13 +261,7 @@ class AnalysisReport:
 
     @property
     def negative_small_s_points(self) -> list[tuple[int, float]]:
-        if self.acf is None:
-            return []
-        return [
-            (int(s), float(c))
-            for s, c in self.acf.points
-            if s < SMALL_OFFSET_LIMIT and c <= 0.0
-        ]
+        return list(self.verdict.offending) if self.verdict is not None else []
 
     def to_dict(self) -> dict:
         d = {

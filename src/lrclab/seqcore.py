@@ -6,13 +6,16 @@ All types are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
+import json
 import math
+import os
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -318,6 +321,33 @@ class TypeTokenCurve:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def open_output(path: str | Path) -> Iterator[TextIO]:
+    """Open an output file for writing UTF-8 text with '\\n' newlines, and
+    replace `path` with it atomically when the block completes.
+
+    The text goes to a pid-named temporary file in the target's directory,
+    which is renamed onto the target at the end and deleted on any
+    exception, so an existing target keeps its bytes. The rename is atomic;
+    nothing is fsynced, so this does not guard against power loss. Every
+    output of lrclab is written through here."""
+    target = Path(path)
+    tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path: str | Path, payload: dict) -> None:
+    """Write `payload` as indented JSON with a trailing newline."""
+    with open_output(path) as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
+
+
 def write_token_file(seq: TokenSequence, path: str | Path) -> None:
     """Write one surface token per line (ids render as w<id> when there is
     no symbol table)."""
@@ -325,13 +355,14 @@ def write_token_file(seq: TokenSequence, path: str | Path) -> None:
     if names is None:
         names = [f"w{i}" for i in range(int(seq.tokens.max()) + 1)]
     words = np.array(names, dtype=object)[seq.tokens]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    # Two writes: appending the final newline to the joined text would copy it.
+    with open_output(path) as fh:
         fh.write("\n".join(words.tolist()))
         fh.write("\n")
 
 
 def _write_csv(path: str | Path, header: str, rows: Iterable[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(path) as fh:
         fh.write("\n".join(chain((header,), rows)) + "\n")
 
 

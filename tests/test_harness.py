@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lrclab import cli
+from lrclab import cli, harness
 from lrclab.genmodels import ModelParams, generate
 from lrclab.harness import (
+    CellAggregate,
     SweepRecord,
     SweepResult,
     SweepSpec,
@@ -53,6 +54,47 @@ class TestSweepSpec:
             SweepSpec(model="simon", replicates=1, length=10, base_seed=0,
                       a_values=(0.1,), b_values=(0.1,))
 
+    @pytest.mark.parametrize("axes", [
+        dict(model="simon", alpha_values=(0.1, 0.1)),
+        dict(model="conjunct", a_values=(0.68, 0.68), b_values=(0.8,)),
+        dict(model="pitman_yor", a_values=(0.0, 0.68), b_values=(0.8, 0.8)),
+        dict(model="conjunct", a_values=(0, 0.0), b_values=(0.8,)),
+    ])
+    def test_repeated_grid_value_rejected(self, axes):
+        with pytest.raises(DataError, match="repeated values"):
+            SweepSpec(replicates=2, length=10, base_seed=0, **axes)
+
+    def test_rarity_divisor_below_two_rejected(self):
+        with pytest.raises(DataError, match="rarity divisor"):
+            SweepSpec(model="simon", replicates=1, length=10, base_seed=0, n=1, alpha_values=(0.1,))
+
+    @pytest.mark.parametrize("payload", [[0.1], 0.1, "simon", None])
+    def test_non_object_rejected(self, tmp_path, payload):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="JSON object"):
+            SweepSpec.from_json(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("length", "abc"),
+        ("replicates", [1]),
+        ("n", None),
+        ("alpha_values", 0.1),
+        ("alpha_values", "0.1"),
+        ("alpha_values", ["x"]),
+    ])
+    def test_unconvertible_field_rejected(self, field, value):
+        d = {"model": "simon", "replicates": 1, "length": 10, "base_seed": 0, "alpha_values": [0.1]}
+        d[field] = value
+        with pytest.raises(DataError, match=f"field '{field}'"):
+            SweepSpec.from_dict(d)
+
+    def test_non_utf8_spec_rejected(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_bytes(b'{"model": "simon\xff"}')
+        with pytest.raises(DataError, match="cannot read sweep spec"):
+            SweepSpec.from_json(path)
+
     def test_cells_sorted(self):
         spec = SweepSpec(model="pitman_yor", replicates=1, length=10, base_seed=0,
                          a_values=(0.5, 0.1), b_values=(1.0, 0.2))
@@ -95,6 +137,28 @@ class TestRunSweep:
         assert rec.gamma is None
         assert result.aggregates[0].lrc_fraction == 0.0
 
+    def test_pool_no_larger_than_job_list(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        spec = SweepSpec(model="conjunct", a_values=(0.68,), b_values=(0.8,),
+                         replicates=2, length=2000, base_seed=1)
+        assert len(run_sweep(spec, workers=64).records) == 2
+        assert sizes == [2]
+
     def test_parallel_matches_serial(self, tmp_path):
         spec = SweepSpec(model="conjunct", a_values=(0.68,), b_values=(0.8,),
                          replicates=2, length=8000, base_seed=7)
@@ -112,6 +176,35 @@ class TestRunSweep:
         write_sweep_result(run_sweep(spec), d1)
         write_sweep_result(run_sweep(spec), d2)
         assert (d1 / "records.csv").read_bytes() == (d2 / "records.csv").read_bytes()
+
+    @pytest.mark.parametrize("model, axes, cell_text", [
+        ("simon", dict(alpha_values=(0.2,)), "0.2"),
+        ("conjunct", dict(a_values=(0, 0.68), b_values=(0.8,)), "0,0.8"),
+    ])
+    def test_table_bytes(self, tmp_path, model, axes, cell_text):
+        # The column lists are spelled out, so reordering a field of
+        # SweepRecord or CellAggregate fails here instead of changing the CSVs.
+        # A grid value given as the int 0 stays 0, not 0.0.
+        spec = SweepSpec(model=model, replicates=2, length=10, base_seed=5, **axes)
+        cell = spec.cells()[0]
+        records = (
+            SweepRecord(cell=cell, replicate=0, seed=5, gamma=0.25, gamma_fit_error=0.5,
+                        heaps_zeta=0.75, lrc_verdict=True, acf_points=30, error=None),
+            SweepRecord(cell=cell, replicate=1, seed=6, lrc_verdict=False, error=""),
+        )
+        aggregates = (CellAggregate(cell=cell, replicates=2, mean_gamma=0.25, sd_gamma=None,
+                                    lrc_fraction=0.5, mean_fit_error=None, pooled_fit_error=1.5),)
+        write_sweep_result(SweepResult(spec=spec, records=records, aggregates=aggregates), tmp_path)
+        cell_cols = "alpha" if model == "simon" else "a,b"
+        assert (tmp_path / "records.csv").read_text() == (
+            f"{cell_cols},replicate,seed,gamma,gamma_fit_error,heaps_zeta,lrc_verdict,acf_points,error\n"
+            f"{cell_text},0,5,0.25,0.5,0.75,true,30,\n"
+            f"{cell_text},1,6,,,,false,,\n"
+        )
+        assert (tmp_path / "aggregates.csv").read_text() == (
+            f"{cell_cols},replicates,mean_gamma,sd_gamma,lrc_fraction,mean_fit_error,pooled_fit_error\n"
+            f"{cell_text},2,0.25,,0.5,,1.5\n"
+        )
 
     def test_error_column_round_trips_through_csv_reader(self, tmp_path):
         spec = SweepSpec(**TINY_SWEEP)
@@ -216,6 +309,17 @@ class TestCli:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "chat-extract"])
+    def test_non_utf8_input_exit_code(self, tmp_path, capsys, command):
+        src = tmp_path / "latin1.txt"
+        src.write_bytes(b"@Begin\n*CHI:\tcaf\xe9 au lait .\n@End\n")
+        argv = [command, "--input", str(src), "--out", str(tmp_path / "out")]
+        if command == "chat-extract":
+            argv += ["--speakers", "CHI"]
+        assert cli.main(argv) == 2
+        assert str(src) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_degenerate_exit_code(self, tmp_path, capsys):
         src = tmp_path / "constant.txt"
         src.write_text("a\n" * 5000)
@@ -292,6 +396,21 @@ class TestCli:
         assert cli.main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 0
         assert (out / "records.csv").exists()
         assert (out / "aggregates.csv").exists()
+
+    @pytest.mark.parametrize("spec", [
+        b'{"model": "simon\xff"}',
+        b"[0.1]",
+        b'{"model": "simon", "replicates": 1, "length": "abc", "base_seed": 0, "alpha_values": [0.1]}',
+        b'{"model": "simon", "replicates": 1, "length": 10, "base_seed": 0, "alpha_values": 0.1}',
+        b'{"model": "simon", "replicates": 1, "length": 10, "base_seed": 0, "alpha_values": [0.1, 0.1]}',
+    ])
+    def test_bad_sweep_spec_exit_code(self, tmp_path, capsys, spec):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_bytes(spec)
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_figure_command(self, tmp_path):
         src = tmp_path / "tiny.txt"

@@ -441,6 +441,17 @@ class TestAnalyze:
         with pytest.raises(DataError, match="degenerate series"):
             analyze(seq, n=16)
 
+    def test_negative_small_offsets_come_from_the_verdict(self):
+        # Rare-word gaps alternate 1, 9: the ACF is -1 at every odd offset.
+        positions = np.cumsum(np.tile([1, 9], 1500))
+        tokens = np.arange(positions[-1] + 1) % 7 + 1
+        tokens[positions] = 0
+        report = analyze(TokenSequence(tokens), rare={0})
+        assert not report.lrc_verdict
+        assert report.negative_small_s_points == list(report.verdict.offending)
+        assert [s for s, _ in report.negative_small_s_points] == [1, 3, 5, 7, 9]
+        assert report.to_dict()["negative_small_s_points"] == [[s, c] for s, c in report.verdict.offending]
+
     def test_report_dict_fields(self):
         rng = np.random.default_rng(23)
         seq = TokenSequence(rng.integers(0, 40, size=20000))

@@ -1,3 +1,4 @@
+import ast
 import math
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lrclab
 from lrclab.corpusio import extract_speaker, parse_chat, read_token_file, read_tokens
 from lrclab.genmodels import ModelParams, generate, generate_bigram, generate_zipf_iid, shuffle
 from lrclab.seqcore import (
@@ -18,6 +20,7 @@ from lrclab.seqcore import (
     TypeTokenCurve,
     log_grid,
     moments,
+    open_output,
     read_acf_csv,
     read_intervals_csv,
     read_rank_frequency_csv,
@@ -25,6 +28,7 @@ from lrclab.seqcore import (
     sequence_from_surface,
     write_acf_csv,
     write_intervals_csv,
+    write_json,
     write_rank_frequency_csv,
     write_token_file,
     write_type_token_csv,
@@ -117,6 +121,101 @@ class TestLogGrid:
     def test_small_integers_dense(self):
         grid = log_grid(10)
         assert grid.tolist() == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
+
+
+class TestOpenOutput:
+    def test_completed_block_replaces_target(self, tmp_path):
+        target = tmp_path / "out.json"
+        target.write_text("old")
+        write_json(target, {"word": "caf\u00e9", "ids": [1, 2]})
+        assert target.read_bytes() == '{\n  "word": "caf\\u00e9",\n  "ids": [\n    1,\n    2\n  ]\n}\n'.encode()
+        with open_output(target) as fh:
+            fh.write("caf\u00e9\n")
+        assert target.read_bytes() == "caf\u00e9\n".encode("utf-8")
+        assert list(tmp_path.iterdir()) == [target]
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_failed_block_keeps_existing_target(self, tmp_path, error):
+        target = tmp_path / "tokens.txt"
+        target.write_bytes(b"old\n")
+        with pytest.raises(error):
+            with open_output(target) as fh:
+                fh.write("new\n" * 1000)
+                fh.flush()
+                raise error("interrupted")
+        assert target.read_bytes() == b"old\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_failed_block_creates_nothing(self, tmp_path):
+        # A symbol that is not a string fails the join inside the block.
+        seq = TokenSequence(np.array([0, 1]), symbols=("a", object()))
+        with pytest.raises(TypeError):
+            write_token_file(seq, tmp_path / "tokens.txt")
+        assert list(tmp_path.iterdir()) == []
+
+
+def _unguarded_writes(source: str) -> list[int]:
+    """Lines that open a file for writing outside seqcore.open_output:
+    open(...) or .open(...) with a write mode (or a mode that is not a
+    literal), and .write_text(...) / .write_bytes(...)."""
+    tree = ast.parse(source)
+    exempt = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "open_output":
+            exempt.update(id(n) for n in ast.walk(node))
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in exempt:
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if isinstance(func, ast.Attribute) and name in ("write_text", "write_bytes"):
+            lines.append(node.lineno)
+        elif name == "open":
+            # open(file, mode) takes the mode second, Path.open(mode) first.
+            position = 1 if isinstance(func, ast.Name) else 0
+            mode = node.args[position] if len(node.args) > position else None
+            mode = next((k.value for k in node.keywords if k.arg == "mode"), mode)
+            if mode is None:
+                continue
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or set(mode.value) & set("wax+"):
+                lines.append(node.lineno)
+    return lines
+
+
+class TestOneWriter:
+    def test_sources_write_only_through_open_output(self):
+        sources = {p.name: p.read_text(encoding="utf-8") for p in Path(lrclab.__file__).parent.glob("*.py")}
+        assert [name for name, text in sources.items() if "def open_output" in text] == ["seqcore.py"]
+        found = {name: lines for name, text in sources.items() if (lines := _unguarded_writes(text))}
+        assert found == {}
+
+    @pytest.mark.parametrize("source", [
+        "open(p, 'w')",
+        "open(p, mode='a', encoding='utf-8')",
+        "open(p, 'r+b')",
+        "open(p, 'x')",
+        "open(p, m)",
+        "p.open('wb')",
+        "p.open(mode='w')",
+        "p.write_text(s)",
+        "Path(p).write_bytes(b)",
+        "def open_output_for(p):\n    return open(p, 'w')",
+        "def f():\n    def open_output(p):\n        pass\n    p.write_text(s)",
+    ])
+    def test_guard_catches(self, source):
+        assert _unguarded_writes(source)
+
+    @pytest.mark.parametrize("source", [
+        "open(p)",
+        "open(p, 'rb')",
+        "open(p, encoding='utf-8', newline='')",
+        "p.open()",
+        "p.read_text()",
+        "def open_output(p):\n    with open(p, 'w') as fh:\n        yield fh",
+    ])
+    def test_guard_allows(self, source):
+        assert _unguarded_writes(source) == []
 
 
 class TestRoundTrips:
