@@ -20,6 +20,7 @@ from .corpusio import (
     read_token_file,
 )
 from .genmodels import (
+    MODEL_PARAMS,
     ModelParams,
     file_metadata,
     generate_bigram,
@@ -48,17 +49,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_generate(args: argparse.Namespace, parser: _Parser) -> int:
     model = args.model
     out = Path(args.out)
-    if model in ("simon", "py", "conjunct"):
-        if model == "simon":
-            if args.alpha is None:
-                parser.error("--alpha is required for --model simon")
-            params = ModelParams(model="simon", length=args.length, seed=args.seed, alpha=args.alpha)
-        else:
-            if args.a is None or args.b is None:
-                parser.error(f"--a and --b are required for --model {model}")
-            name = "pitman_yor" if model == "py" else "conjunct"
-            params = ModelParams(model=name, length=args.length, seed=args.seed, a=args.a, b=args.b)
-        harness.generate_to_file(params, out)
+    name = "pitman_yor" if model == "py" else model
+    if name in MODEL_PARAMS:
+        values = {p: getattr(args, p) for p in MODEL_PARAMS[name]}
+        if None in values.values():
+            parser.error(f"--model {model} requires {' and '.join('--' + p for p in values)}")
+        harness.generate_to_file(ModelParams(model=name, length=args.length, seed=args.seed, **values), out)
         return 0
     if model == "zipf":
         if args.vocab is None or args.exponent is None:

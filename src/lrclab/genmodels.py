@@ -84,6 +84,10 @@ class GeneratorState:
         assert len(self.later) == self.t - self.k, "one later entry per repeat"
 
 
+# The parameters each incremental model takes, in sweep-cell order.
+MODEL_PARAMS = {"simon": ("alpha",), "pitman_yor": ("a", "b"), "conjunct": ("a", "b")}
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Parameters of the three incremental models.
@@ -103,33 +107,29 @@ class ModelParams:
     b: float | None = None
 
     def __post_init__(self) -> None:
-        if self.model not in ("simon", "pitman_yor", "conjunct"):
+        if self.model not in MODEL_PARAMS:
             raise DataError(f"unknown model '{self.model}'")
         if self.length < 1:
             raise DataError("parameter out of range: length must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise DataError("parameter out of range: seed must fit in 64 bits")
-        if self.model == "simon":
-            if self.alpha is None or not 0.0 < self.alpha < 1.0:
-                raise DataError("parameter out of range: alpha must be in (0, 1)")
-            if self.a is not None or self.b is not None:
-                raise DataError("simon takes alpha, not (a, b)")
-        else:
-            if self.a is None or not 0.0 <= self.a < 1.0:
-                raise DataError("parameter out of range: a must be in [0, 1)")
-            if self.b is None or self.b < 0.0:
-                raise DataError("parameter out of range: b must be >= 0")
-            if self.alpha is not None:
-                raise DataError(f"{self.model} takes (a, b), not alpha")
+        taken = MODEL_PARAMS[self.model]
+        if "alpha" in taken and (self.alpha is None or not 0.0 < self.alpha < 1.0):
+            raise DataError("parameter out of range: alpha must be in (0, 1)")
+        if "a" in taken and (self.a is None or not 0.0 <= self.a < 1.0):
+            raise DataError("parameter out of range: a must be in [0, 1)")
+        if "b" in taken and (self.b is None or self.b < 0.0):
+            raise DataError("parameter out of range: b must be >= 0")
+        for name in ("alpha", "a", "b"):
+            if name not in taken and getattr(self, name) is not None:
+                raise DataError(f"{self.model} takes {', '.join(taken)}, not {name}")
 
     @property
     def degenerate(self) -> bool:
-        return self.model != "simon" and self.a == 0.0 and self.b == 0.0
+        return self.a == 0.0 and self.b == 0.0
 
     def to_dict(self) -> dict:
-        if self.model == "simon":
-            return {"alpha": self.alpha}
-        return {"a": self.a, "b": self.b}
+        return {name: getattr(self, name) for name in MODEL_PARAMS[self.model]}
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ derived as base_seed + replicate index.
 
 from __future__ import annotations
 
+import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -20,11 +21,13 @@ import numpy as np
 
 from . import lrcstats
 from .corpusio import read_token_file
-from .genmodels import ModelParams, generate, run_metadata
+from .genmodels import MODEL_PARAMS, ModelParams, generate, run_metadata
 from .seqcore import (
     DataError,
     TokenSequence,
+    _read_csv,
     _write_csv,
+    moments,
     open_output,
     read_acf_csv,
     write_acf_csv,
@@ -37,25 +40,35 @@ from .seqcore import (
 
 FIGURE_IDS = ("rankfreq", "typetoken", "acf", "sweep_map")
 
-SWEEP_MODELS = ("simon", "pitman_yor", "conjunct")
-
 GRID_AXES = ("alpha_values", "a_values", "b_values")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(value) -> int:
+    """An integral number; a bool, a fraction or a string is an error."""
+    if not _is_number(value) or not float(value).is_integer():
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _floats(values) -> tuple[float, ...]:
-    if not isinstance(values, (list, tuple)):
+    if not isinstance(values, (list, tuple)) or not all(map(_is_number, values)):
         raise TypeError(f"expected a list of numbers, got {values!r}")
     return tuple(float(x) for x in values)
 
 
 # How from_dict converts each JSON value, by field annotation.
-_SPEC_CONVERTERS = {"str": str, "int": int, "tuple[float, ...]": _floats}
+_SPEC_CONVERTERS = {"str": str, "int": _integer, "tuple[float, ...]": _floats}
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid definition for one sweep: a list of alpha values for the
-    constant-innovation model, or the cross product of a_values and
+    """Grid definition for one sweep: the cross product of the
+    `<name>_values` axes of the model's parameters (`MODEL_PARAMS`), that
+    is, alpha_values for the constant-innovation model, or a_values times
     b_values for the (a, b) models."""
 
     model: str
@@ -73,7 +86,7 @@ class SweepSpec:
             if len(set(values)) != len(values):
                 raise DataError(f"{axis} has repeated values")
             object.__setattr__(self, axis, values)
-        if self.model not in SWEEP_MODELS:
+        if self.model not in MODEL_PARAMS:
             raise DataError(f"unknown sweep model '{self.model}'")
         if self.replicates < 1:
             raise DataError("replicates must be >= 1")
@@ -81,17 +94,13 @@ class SweepSpec:
             raise DataError("length must be >= 1")
         if self.n < 2:
             raise DataError("rarity divisor must be at least 2")
-        if self.model == "simon":
-            if not self.alpha_values or self.a_values or self.b_values:
-                raise DataError("simon sweeps take alpha_values only")
-        else:
-            if not self.a_values or not self.b_values or self.alpha_values:
-                raise DataError(f"{self.model} sweeps take a_values and b_values")
+        axes = [f"{name}_values" for name in MODEL_PARAMS[self.model]]
+        if any(bool(getattr(self, axis)) != (axis in axes) for axis in GRID_AXES):
+            raise DataError(f"{self.model} sweeps take {' and '.join(axes)} only")
 
     def cells(self) -> list[tuple[float, ...]]:
-        if self.model == "simon":
-            return [(alpha,) for alpha in sorted(self.alpha_values)]
-        return [(a, b) for a in sorted(self.a_values) for b in sorted(self.b_values)]
+        axes = (sorted(getattr(self, f"{name}_values")) for name in MODEL_PARAMS[self.model])
+        return list(itertools.product(*axes))
 
     def to_dict(self) -> dict:
         """The spec's fields, without the grid axes this model does not use."""
@@ -113,7 +122,7 @@ class SweepSpec:
                 continue
             try:
                 kwargs[name] = _SPEC_CONVERTERS[f.type](d[name])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise DataError(f"sweep spec field '{name}': {exc}") from exc
         return cls(**kwargs)
 
@@ -163,10 +172,7 @@ class SweepResult:
 def _run_cell_job(args: tuple) -> SweepRecord:
     model, cell, replicate, length, base_seed, n = args
     seed = base_seed + replicate
-    if model == "simon":
-        params = ModelParams(model=model, length=length, seed=seed, alpha=cell[0])
-    else:
-        params = ModelParams(model=model, length=length, seed=seed, a=cell[0], b=cell[1])
+    params = ModelParams(model=model, length=length, seed=seed, **dict(zip(MODEL_PARAMS[model], cell)))
     try:
         seq = generate(params)
         report = lrcstats.analyze(seq, n=n)
@@ -192,8 +198,7 @@ def _aggregate(cell: tuple[float, ...], records: list[SweepRecord]) -> CellAggre
         for r in records
         if r.gamma_fit_error is not None and r.acf_points
     ]
-    mean_gamma = float(np.mean(gammas)) if gammas else None
-    sd_gamma = float(np.sqrt(np.mean((np.array(gammas) - mean_gamma) ** 2))) if gammas else None
+    mean_gamma, sd_gamma = moments(gammas) if gammas else (None, None)
     lrc_fraction = sum(1 for r in records if r.lrc_verdict) / len(records)
     mean_fit_error = float(np.mean([e for e, _ in errors])) if errors else None
     pooled = None
@@ -266,7 +271,7 @@ def write_sweep_result(result: SweepResult, out_dir: str | Path) -> dict[str, Pa
     """Write records.csv, aggregates.csv and a sweep.json manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cell_cols = ["alpha"] if result.spec.model == "simon" else ["a", "b"]
+    cell_cols = list(MODEL_PARAMS[result.spec.model])
     files = {
         "records": out / "records.csv",
         "aggregates": out / "aggregates.csv",
@@ -322,13 +327,28 @@ def write_analysis(report: lrcstats.AnalysisReport, out_dir: str | Path) -> dict
     files["rankfreq"] = out / "rankfreq.csv"
     write_type_token_csv(report.typetoken, out / "typetoken.csv")
     files["typetoken"] = out / "typetoken.csv"
+    # A curve this report lacks is deleted, so no older analysis's curve
+    # is left next to the new report.
     if report.intervals is not None:
         write_intervals_csv(report.intervals, out / "intervals.csv")
         files["intervals"] = out / "intervals.csv"
+    else:
+        (out / "intervals.csv").unlink(missing_ok=True)
     if report.acf is not None:
         write_acf_csv(report.acf, out / "acf.csv")
         files["acf"] = out / "acf.csv"
+    else:
+        (out / "acf.csv").unlink(missing_ok=True)
     return files
+
+
+def _sweep_model(path: Path) -> str:
+    """The model named in a sweep's sweep.json manifest, validated as a spec."""
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        return SweepSpec.from_dict(manifest["spec"]).model
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"cannot read sweep manifest {path}: {exc}") from exc
 
 
 def emit_figure_data(
@@ -346,27 +366,17 @@ def emit_figure_data(
     manifest: dict = {"figure": figure_id, "files": []}
 
     if figure_id == "sweep_map":
-        import csv  # only this figure reads CSV; keeps it off the CLI's import path
-
-        agg_path = src / "aggregates.csv"
-        with open(agg_path, encoding="utf-8", newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-        if not rows:
-            raise DataError(f"empty CSV {agg_path}")
-        header = rows.pop(0)
-        cell_cols = [c for c in header if c in ("alpha", "a", "b")]
-        idx = {c: header.index(c) for c in cell_cols}
-        frac_idx = header.index("lrc_fraction")
+        cell_cols = list(MODEL_PARAMS[_sweep_model(src / "sweep.json")])
+        columns = cell_cols + [f.name for f in fields(CellAggregate)][1:]
+        rows = _read_csv(src / "aggregates.csv", ",".join(columns))
+        frac = columns.index("lrc_fraction")
         _write_csv(
             out / "sweep_map.csv",
             ",".join(cell_cols + ["lrc_fraction"]),
-            (",".join([row[idx[c]] for c in cell_cols] + [row[frac_idx]]) for row in rows),
+            (",".join(row[: len(cell_cols)] + [row[frac]]) for row in rows),
         )
-        if len(cell_cols) == 2:
-            entry = {"file": "sweep_map.csv", "x": cell_cols[0], "y": cell_cols[1], "value": "lrc_fraction"}
-        else:
-            entry = {"file": "sweep_map.csv", "x": cell_cols[0], "y": "lrc_fraction"}
-        manifest["files"].append(entry)
+        roles = dict(zip(("x", "y", "value"), cell_cols + ["lrc_fraction"]))
+        manifest["files"].append({"file": "sweep_map.csv", **roles})
     else:
         name = {"rankfreq": "rankfreq.csv", "typetoken": "typetoken.csv", "acf": "acf.csv"}[figure_id]
         axes = {"rankfreq": ("rank", "freq"), "typetoken": ("m", "v"), "acf": ("s", "c")}[figure_id]

@@ -371,7 +371,11 @@ def _read_csv(path: str | Path, expected_header: str) -> list[list[str]]:
     lines = [ln for ln in text.split("\n") if ln]
     if not lines or lines[0] != expected_header:
         raise DataError(f"expected CSV header '{expected_header}' in {path}")
-    return [ln.split(",") for ln in lines[1:]]
+    rows = [ln.split(",") for ln in lines[1:]]
+    width = expected_header.count(",") + 1
+    if any(len(row) != width for row in rows):
+        raise DataError(f"expected {width} fields in every row of {path}")
+    return rows
 
 
 def write_acf_csv(curve: AcfCurve, path: str | Path) -> None:

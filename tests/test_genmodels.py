@@ -72,6 +72,14 @@ class TestModelParams:
         with pytest.raises(DataError, match="parameter out of range"):
             ModelParams(model="pitman_yor", length=10, seed=0, a=0.5, b=-0.1)
 
+    @pytest.mark.parametrize("model, params", [
+        ("simon", dict(alpha=0.1, b=0.5)),
+        ("conjunct", dict(a=0.5, b=0.5, alpha=0.1)),
+    ])
+    def test_unused_parameter_rejected(self, model, params):
+        with pytest.raises(DataError, match=f"{model} takes"):
+            ModelParams(model=model, length=10, seed=0, **params)
+
     def test_model_name(self):
         with pytest.raises(DataError, match="unknown model"):
             ModelParams(model="markov", length=10, seed=0)

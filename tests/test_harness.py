@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lrclab import cli, harness
-from lrclab.genmodels import ModelParams, generate
+from lrclab.genmodels import MODEL_PARAMS, ModelParams, generate
 from lrclab.harness import (
     CellAggregate,
     SweepRecord,
@@ -82,12 +82,23 @@ class TestSweepSpec:
         ("alpha_values", 0.1),
         ("alpha_values", "0.1"),
         ("alpha_values", ["x"]),
+        ("replicates", 2.7),
+        ("length", True),
+        ("base_seed", "5"),
+        ("b_values", [True]),
+        ("alpha_values", [10**400]),
     ])
     def test_unconvertible_field_rejected(self, field, value):
         d = {"model": "simon", "replicates": 1, "length": 10, "base_seed": 0, "alpha_values": [0.1]}
         d[field] = value
         with pytest.raises(DataError, match=f"field '{field}'"):
             SweepSpec.from_dict(d)
+
+    def test_integral_numbers_convert(self):
+        spec = SweepSpec.from_dict({"model": "simon", "replicates": 2.0, "length": 10,
+                                    "base_seed": 2**63, "alpha_values": [0.1]})
+        assert (spec.replicates, spec.base_seed) == (2, 2**63)
+        assert type(spec.replicates) is int
 
     def test_non_utf8_spec_rejected(self, tmp_path):
         path = tmp_path / "spec.json"
@@ -99,6 +110,23 @@ class TestSweepSpec:
         spec = SweepSpec(model="pitman_yor", replicates=1, length=10, base_seed=0,
                          a_values=(0.5, 0.1), b_values=(1.0, 0.2))
         assert spec.cells() == [(0.1, 0.2), (0.1, 1.0), (0.5, 0.2), (0.5, 1.0)]
+
+
+@pytest.mark.parametrize("model", sorted(MODEL_PARAMS))
+def test_model_params_table_agrees(tmp_path, model):
+    # The parameter names, the sweep cells and the CSV cell columns all
+    # come from MODEL_PARAMS, in the same order.
+    names = MODEL_PARAMS[model]
+    params = ModelParams(model=model, length=10, seed=0, **{p: 0.5 for p in names})
+    assert tuple(params.to_dict()) == names
+    spec = SweepSpec(model=model, replicates=1, length=10, base_seed=0,
+                     **{f"{p}_values": (0.5, 0.25) for p in names})
+    assert {len(cell) for cell in spec.cells()} == {len(names)}
+    assert len(spec.cells()) == 2 ** len(names)
+    write_sweep_result(SweepResult(spec=spec, records=(), aggregates=()), tmp_path)
+    header = (tmp_path / "records.csv").read_text().split("\n")[0].split(",")
+    assert tuple(header[: len(names)]) == names
+    assert header[len(names)] == "replicate"
 
 
 class TestRunSweep:
@@ -292,6 +320,20 @@ class TestEmitFigureData:
         assert text == f"a,b,lrc_fraction\n0.68,0.8,{result.aggregates[0].lrc_fraction!r}\n"
         assert manifest["files"][0]["value"] == "lrc_fraction"
 
+    def test_sweep_map_simon(self, tmp_path):
+        spec = SweepSpec(model="simon", replicates=1, length=10, base_seed=0, alpha_values=(0.3, 0.1))
+        aggregates = tuple(
+            CellAggregate(cell=cell, replicates=1, mean_gamma=None, sd_gamma=None,
+                          lrc_fraction=frac, mean_fit_error=None, pooled_fit_error=None)
+            for cell, frac in zip(spec.cells(), (0.0, 1.0))
+        )
+        sweep_dir = tmp_path / "sweep"
+        write_sweep_result(SweepResult(spec=spec, records=(), aggregates=aggregates), sweep_dir)
+        out = tmp_path / "fig"
+        manifest = emit_figure_data(sweep_dir, "sweep_map", out)
+        assert (out / "sweep_map.csv").read_text() == "alpha,lrc_fraction\n0.1,0.0\n0.3,1.0\n"
+        assert manifest["files"] == [{"file": "sweep_map.csv", "x": "alpha", "y": "lrc_fraction"}]
+
     def test_unknown_figure_id(self, analysis_dir, tmp_path):
         with pytest.raises(DataError, match="unknown figure_id"):
             emit_figure_data(analysis_dir, "spectrum", tmp_path / "fig")
@@ -420,6 +462,64 @@ class TestCli:
         out = tmp_path / "fig"
         assert cli.main(["figure", "--input", str(analysis), "--id", "rankfreq", "--out", str(out)]) == 0
         assert (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("damage", [
+        ("aggregates.csv", "alpha,replicates,mean_gamma,sd_gamma,lrc_fraction,mean_fit_error,pooled_fit_error"),
+        ("aggregates.csv", "a,b,replicates,mean_gamma,sd_gamma,mean_fit_error,pooled_fit_error"),
+        ("aggregates.csv", None),
+        ("sweep.json", "{"),
+        ("sweep.json", '{"spec": {"model": "markov"}}'),
+        ("sweep.json", "[]"),
+        ("sweep.json", None),
+    ], ids=["simon-header", "no-lrc-fraction", "no-aggregates", "bad-json", "unknown-model",
+            "no-spec", "no-manifest"])
+    def test_sweep_map_bad_input_exit_code(self, tmp_path, capsys, damage):
+        # The model named in sweep.json fixes the exact aggregates.csv header.
+        name, text = damage
+        spec = SweepSpec(model="conjunct", replicates=1, length=10, base_seed=0,
+                         a_values=(0.5,), b_values=(1.0,))
+        aggregates = (CellAggregate(cell=(0.5, 1.0), replicates=1, mean_gamma=None, sd_gamma=None,
+                                    lrc_fraction=0.0, mean_fit_error=None, pooled_fit_error=None),)
+        sweep = tmp_path / "sweep"
+        write_sweep_result(SweepResult(spec=spec, records=(), aggregates=aggregates), sweep)
+        path = sweep / name
+        lines = path.read_text().split("\n")
+        if text is None:
+            path.unlink()
+        elif name == "aggregates.csv":
+            path.write_text("\n".join([text] + lines[1:]))
+        else:
+            path.write_text(text)
+        out = tmp_path / "fig"
+        assert cli.main(["figure", "--input", str(sweep), "--id", "sweep_map", "--out", str(out)]) == 2
+        assert "lrclab: error:" in capsys.readouterr().err
+        assert not (out / "sweep_map.csv").exists()
+
+    def test_analysis_removes_stale_curves(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        long_src, short_src = tmp_path / "long.txt", tmp_path / "short.txt"
+        long_src.write_text("\n".join(f"w{t}" for t in rng.integers(0, 40, size=20000)) + "\n")
+        short_src.write_text("".join(f"u{i}\n" for i in range(24)))  # no interval: every word once
+        out = tmp_path / "analysis"
+        assert cli.main(["analyze", "--input", str(long_src), "--out", str(out)]) == 0
+        assert (out / "acf.csv").exists() and (out / "intervals.csv").exists()
+        assert cli.main(["analyze", "--input", str(short_src), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert (report["m"], report["acf_skipped"]) == (24, "insufficient occurrences")
+        assert not (out / "acf.csv").exists()
+        assert not (out / "intervals.csv").exists()
+        capsys.readouterr()
+        assert cli.main(["figure", "--input", str(out), "--id", "acf", "--out", str(tmp_path / "fig")]) == 2
+        assert "acf.csv not found" in capsys.readouterr().err
+
+    def test_generate_py_requires_b(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([
+                "generate", "--model", "py", "--a", "0.5",
+                "--length", "100", "--seed", "1", "--out", str(tmp_path / "s.txt"),
+            ])
+        assert exc.value.code == 1
+        assert not (tmp_path / "s.txt").exists()
 
     def test_figure_bad_id_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -284,6 +284,13 @@ class TestRoundTrips:
         write_intervals_csv(ints, path)
         assert read_intervals_csv(path, n=16) == ints
 
+    @pytest.mark.parametrize("text", ["s,c\n1,0.5\n2\n", "s,c\n1,0.5,0.25\n", "c,s\n1,0.5\n"])
+    def test_malformed_csv_rejected(self, tmp_path, text):
+        path = tmp_path / "acf.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match="expected"):
+            read_acf_csv(path, source_length=1000)
+
     def test_power_law_fit_dict(self):
         fit = PowerLawFit(0.301, 0.82, 0.00158, 45, 3)
         assert PowerLawFit.from_dict(fit.to_dict()) == fit
