@@ -20,13 +20,14 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .seqcore import DataError, TokenSequence
 
 _BLOCK = 1 << 12  # steps screened together for (a, b) innovations
+_DRAW = 1 << 14  # elements per block of random draws and of block-wise passes
 
 
 @dataclass
@@ -191,10 +192,29 @@ def _require(params: ModelParams, model: str) -> None:
         raise DataError(f"expected {model} params, got {params.model}")
 
 
-def _eta_innovations(u: np.ndarray, a: float, b: float) -> np.ndarray:
+def _pointer_dtype(m: int) -> type:
+    """Integer type of the copy pointers over m positions: int32 while every
+    position fits, which halves the pointer arrays."""
+    return np.int32 if m < 2**31 else np.int64
+
+
+def _spans(lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """Consecutive [start, stop) blocks of at most _DRAW covering [lo, hi)."""
+    for start in range(lo, hi, _DRAW):
+        yield start, min(start + _DRAW, hi)
+
+
+def _uniform_blocks(rng: np.random.Generator, n: int) -> Iterator[np.ndarray]:
+    """n uniforms in consecutive blocks: the same stream as rng.random(n)."""
+    for lo, hi in _spans(0, n):
+        yield rng.random(hi - lo)
+
+
+def _eta_innovations(u: np.ndarray | Iterable[np.ndarray], a: float, b: float) -> np.ndarray:
     """Steps at which the (a, b) rule innovates: step s emits element
     t = s + 1 and is new when u[s] < (a*K + b) / (t + b), K being the
-    vocabulary before it.
+    vocabulary before it. `u` is one array of step uniforms or an iterable
+    of consecutive blocks of them.
 
     K grows by at most one per step, so within a block of steps no rate
     exceeds the one at K + block size; the scalar loop visits only the
@@ -204,15 +224,19 @@ def _eta_innovations(u: np.ndarray, a: float, b: float) -> np.ndarray:
     steps = []
     k = 1
     num = a * k + b
-    for lo in range(0, u.size, _BLOCK):
-        block = u[lo : lo + _BLOCK]
-        tb = np.arange(lo + 1, lo + 1 + block.size) + b
-        cand = np.flatnonzero(block < (a * (k + block.size) + b) / tb)
-        for t, x in zip((cand + lo + 1).tolist(), block[cand].tolist()):
-            if x < num / (t + b):
-                steps.append(t - 1)
-                k += 1
-                num = a * k + b
+    offset = 0
+    for chunk in [u] if isinstance(u, np.ndarray) else u:
+        for start in range(0, chunk.size, _BLOCK):
+            block = chunk[start : start + _BLOCK]
+            lo = offset + start
+            tb = np.arange(lo + 1, lo + 1 + block.size) + b
+            cand = np.flatnonzero(block < (a * (k + block.size) + b) / tb)
+            for t, x in zip((cand + lo + 1).tolist(), block[cand].tolist()):
+                if x < num / (t + b):
+                    steps.append(t - 1)
+                    k += 1
+                    num = a * k + b
+        offset += chunk.size
     return np.array(steps, dtype=np.int64)
 
 
@@ -220,40 +244,49 @@ def _resolve(parent: np.ndarray) -> TokenSequence:
     """Token ids of a copy-pointer forest; overwrites `parent`.
 
     parent[p] is the earlier position that position p copies; position 0
-    and every innovation point at themselves. Pointer doubling finds every
-    root in O(log depth) rounds. A root's id is its rank among the roots,
-    so ids are dense and in first-occurrence order; both properties are
-    checked on the result."""
-    positions = np.arange(parent.size)
-    is_root = parent == positions
-    assert np.all(parent <= positions), "a copy must point at an earlier position"
-    del positions
-    hop = np.empty_like(parent)
-    while True:
-        np.take(parent, parent, out=hop)
-        if np.array_equal(hop, parent):
-            break
-        parent, hop = hop, parent
-    del hop
-    issued = np.cumsum(is_root) - 1  # highest id issued up to each position
-    tokens = issued[parent]
-    assert np.array_equal(np.maximum.accumulate(tokens), issued), "ids must follow first occurrence"
-    return TokenSequence(tokens)
+    and every innovation point at themselves. The positions are resolved
+    one block at a time, in order: every earlier pointer already names its
+    root, so pointer doubling inside the block finds each root in a few
+    rounds. A root's id is its rank among the roots, so ids are dense and
+    in first-occurrence order; both properties are checked on the result.
+    Apart from `parent` and the ids, only blocks are allocated."""
+    tokens = np.empty(parent.size, dtype=np.int64)
+    k = 0  # roots before the block
+    for lo, hi in _spans(0, parent.size):
+        here = np.arange(lo, hi)
+        block = parent[lo:hi]
+        assert np.all(block <= here), "a copy must point at an earlier position"
+        is_root = block == here
+        while True:
+            hop = parent[block]
+            if np.array_equal(hop, block):
+                break
+            block[:] = hop
+        tokens[np.flatnonzero(is_root) + lo] = np.arange(k, k + np.count_nonzero(is_root))
+        ids = tokens[block]
+        issued = np.cumsum(is_root) + (k - 1)  # highest id issued up to each position
+        seen = np.maximum(np.maximum.accumulate(ids), k - 1)
+        assert np.array_equal(seen, issued), "ids must follow first occurrence"
+        tokens[lo:hi] = ids
+        k = int(issued[-1]) + 1
+    return TokenSequence._adopt(tokens)
 
 
 def _generate_uniform_copy(
-    params: ModelParams, innovations: Callable[[np.ndarray], np.ndarray]
+    params: ModelParams, innovations: Callable[[Iterator[np.ndarray]], np.ndarray]
 ) -> TokenSequence:
     """Each element after the first is new at the steps `innovations`
-    returns for the step uniforms u, else a copy of a uniformly random
-    earlier position."""
+    returns for the blocks of step uniforms, else a copy of a uniformly
+    random earlier position."""
     m = params.length
     rng = np.random.default_rng(params.seed)
-    new = innovations(rng.random(m - 1)) + 1
-    parent = np.empty(m, dtype=np.int64)
+    new = innovations(_uniform_blocks(rng, m - 1)) + 1
+    parent = np.empty(m, dtype=_pointer_dtype(m))
     parent[0] = 0
-    parent[1:] = rng.integers(0, np.arange(1, m))
+    for lo, hi in _spans(1, m):
+        parent[lo:hi] = rng.integers(0, np.arange(lo, hi))
     parent[new] = new
+    del new
     return _resolve(parent)
 
 
@@ -263,7 +296,15 @@ def generate_simon(params: ModelParams) -> TokenSequence:
     position."""
     _require(params, "simon")
     alpha = params.alpha
-    return _generate_uniform_copy(params, lambda u: np.flatnonzero(u < alpha))
+
+    def innovations(blocks: Iterator[np.ndarray]) -> np.ndarray:
+        steps, lo = [np.empty(0, dtype=np.int64)], 0
+        for u in blocks:
+            steps.append(np.flatnonzero(u < alpha) + lo)
+            lo += u.size
+        return np.concatenate(steps)
+
+    return _generate_uniform_copy(params, innovations)
 
 
 def generate_pitman_yor(params: ModelParams) -> TokenSequence:
@@ -272,33 +313,42 @@ def generate_pitman_yor(params: ModelParams) -> TokenSequence:
     draw x = u * (t - a*K) copies the first occurrence of type
     floor(x / (1 - a)) when x < K(1 - a), else the later (not first)
     occurrence number floor(x - K(1 - a)) in position order, as in
-    `pitman_yor_next`."""
+    `pitman_yor_next`.
+
+    The split runs one block of steps at a time: step s (emitting position
+    s + 1) sees the roots and later occurrences at positions up to s, all
+    of which are known once the innovation steps are."""
     _require(params, "pitman_yor")
     a, b = params.a, params.b
     m = params.length
     rng = np.random.default_rng(params.seed)
-    new = _eta_innovations(rng.random(m - 1), a, b) + 1
-    u = rng.random(m - 1)
+    dtype = _pointer_dtype(m)
+    roots = np.concatenate(([0], _eta_innovations(_uniform_blocks(rng, m - 1), a, b) + 1)).astype(dtype)
     is_root = np.zeros(m, dtype=bool)
-    is_root[0] = True
-    is_root[new] = True
-    roots = np.flatnonzero(is_root)
-    later = np.flatnonzero(~is_root)
-    k = np.cumsum(is_root[:-1])  # vocabulary before each step
-    t = np.arange(1, m)
-    x = u * (t - a * k)
-    del u, is_root
-    first_w = k * (1.0 - a)
-    first = (x < first_w) | (t == k)
-    rest = ~first
-    parent = np.empty(m, dtype=np.int64)
+    is_root[roots] = True
+    later = np.empty(m - roots.size, dtype=dtype)  # the positions that are not roots
+    parent = np.empty(m, dtype=dtype)
     parent[0] = 0
-    tail = parent[1:]
-    tail[first] = roots[np.minimum(x[first] / (1.0 - a), k[first] - 1).astype(np.int64)]
-    tail[rest] = later[np.minimum(x[rest] - first_w[rest], (t - k - 1)[rest]).astype(np.int64)]
-    # free the split's whole-length temporaries before _resolve allocates
-    del tail, x, first_w, first, rest, k, t, later
+    k = n_later = 0  # roots and later occurrences before the block
+    for lo, hi in _spans(0, m - 1):
+        u = rng.random(hi - lo)
+        block_root = is_root[lo:hi]
+        block_later = np.flatnonzero(~block_root) + lo
+        later[n_later : n_later + block_later.size] = block_later
+        n_later += block_later.size
+        kb = k + np.cumsum(block_root)  # vocabulary before each step
+        k = int(kb[-1])
+        t = np.arange(lo + 1, hi + 1)
+        x = u * (t - a * kb)
+        first_w = kb * (1.0 - a)
+        first = (x < first_w) | (t == kb)
+        rest = ~first
+        tail = parent[lo + 1 : hi + 1]
+        tail[first] = roots[np.minimum(x[first] / (1.0 - a), kb[first] - 1).astype(np.int64)]
+        tail[rest] = later[np.minimum(x[rest] - first_w[rest], (t - kb - 1)[rest]).astype(np.int64)]
+    del later, is_root
     parent[roots] = roots
+    del roots
     return _resolve(parent)
 
 
@@ -307,7 +357,7 @@ def generate_conjunct(params: ModelParams) -> TokenSequence:
     combined with uniform reuse from the past sequence."""
     _require(params, "conjunct")
     a, b = params.a, params.b
-    return _generate_uniform_copy(params, lambda u: _eta_innovations(u, a, b))
+    return _generate_uniform_copy(params, lambda blocks: _eta_innovations(blocks, a, b))
 
 
 def generate(params: ModelParams) -> TokenSequence:
@@ -319,22 +369,29 @@ def generate(params: ModelParams) -> TokenSequence:
     return generate_conjunct(params)
 
 
-def _relabel_first_occurrence(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map non-negative int labels to dense ids in first-occurrence order.
-    Returns the new ids and, for each new id, the label it replaces."""
-    labels, _, first = TokenSequence(ids).type_stats
-    labels = labels[np.argsort(first)]
-    new_id = np.empty(int(labels.max()) + 1, dtype=np.int64)
+def _relabel_first_occurrence(ids: np.ndarray) -> np.ndarray:
+    """Map non-negative int labels to dense ids in first-occurrence order,
+    in place. Returns, for each new id, the label it replaces."""
+    m = ids.size
+    first = np.full(int(ids.max()) + 1, m, dtype=np.int64)  # first position of each label
+    for lo, hi in _spans(0, m):
+        np.minimum.at(first, ids[lo:hi], np.arange(lo, hi))
+    labels = np.flatnonzero(first < m)
+    labels = labels[np.argsort(first[labels])]
+    new_id = first  # the first positions are no longer needed
     new_id[labels] = np.arange(labels.size)
-    return new_id[ids], labels
+    for lo, hi in _spans(0, m):
+        ids[lo:hi] = new_id[ids[lo:hi]]
+    return labels
 
 
 def _resampled(ids: np.ndarray, source: TokenSequence) -> TokenSequence:
     """A sequence drawn from `source`'s ids, relabelled in first-occurrence
-    order. Each type keeps its surface form; without a symbol table that is
-    its w<id> name in `source`, so a written token file is unchanged."""
-    new_ids, labels = _relabel_first_occurrence(ids)
-    return TokenSequence(new_ids, symbols=tuple(map(source.surface, labels.tolist())))
+    order; takes over `ids`, which it relabels in place. Each type keeps
+    its surface form; without a symbol table that is its w<id> name in
+    `source`, so a written token file is unchanged."""
+    labels = _relabel_first_occurrence(ids)
+    return TokenSequence._adopt(ids, symbols=tuple(map(source.surface, labels.tolist())))
 
 
 def generate_zipf_iid(
@@ -346,11 +403,15 @@ def generate_zipf_iid(
     if vocab_size < 1 or exponent <= 0.0 or length < 1:
         raise DataError("parameter out of range")
     rng = np.random.default_rng(seed)
-    weights = np.arange(1, vocab_size + 1, dtype=np.float64) ** (-exponent)
-    cdf = np.cumsum(weights)
+    cdf = np.arange(1, vocab_size + 1, dtype=np.float64)
+    np.power(cdf, -exponent, out=cdf)
+    np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
-    ranks = np.searchsorted(cdf, rng.random(length), side="right")
-    return TokenSequence(_relabel_first_occurrence(ranks)[0])
+    ranks = np.empty(length, dtype=np.int64)
+    for lo, hi in _spans(0, length):
+        ranks[lo:hi] = np.searchsorted(cdf, rng.random(hi - lo), side="right")
+    _relabel_first_occurrence(ranks)
+    return TokenSequence._adopt(ranks)
 
 
 def generate_bigram(corpus: TokenSequence, length: int, seed: int) -> TokenSequence:
@@ -381,14 +442,14 @@ def generate_bigram(corpus: TokenSequence, length: int, seed: int) -> TokenSeque
     width[restart] = m_c
     start, width = start.tolist(), width.tolist()
 
-    u = rng.random(length)
     out = array("q")
     append = out.append
     cur = n_types
-    for x in memoryview(u):
-        cur = table[start[cur] + int(x * width[cur])]
-        append(cur)
-    del table, u
+    for u in _uniform_blocks(rng, length):
+        for x in memoryview(u):
+            cur = table[start[cur] + int(x * width[cur])]
+            append(cur)
+    del table
     return _resampled(np.frombuffer(out, dtype=np.int64), corpus)
 
 
@@ -396,8 +457,7 @@ def shuffle(seq: TokenSequence, seed: int) -> TokenSequence:
     """Uniform random permutation of the tokens (Fisher-Yates, PCG64), with
     ids relabelled in first-occurrence order."""
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(seq.m)
-    return _resampled(seq.tokens[perm], seq)
+    return _resampled(rng.permutation(seq.tokens), seq)
 
 
 def file_metadata(model: str, params: dict, seed: int, seq: TokenSequence) -> dict:

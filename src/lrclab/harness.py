@@ -351,6 +351,17 @@ def _sweep_model(path: Path) -> str:
         raise DataError(f"cannot read sweep manifest {path}: {exc}") from exc
 
 
+def _report_m_n(path: Path) -> int:
+    """The M/N an analysis used, from its report.json."""
+    try:
+        m_n = json.loads(path.read_text(encoding="utf-8"))["m_n"]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"cannot read analysis report {path}: {exc}") from exc
+    if type(m_n) is not int:
+        raise DataError(f"{path}: m_n must be an integer, not {m_n!r}")
+    return m_n
+
+
 def emit_figure_data(
     input_dir: str | Path, figure_id: str, out_dir: str | Path
 ) -> dict:
@@ -383,14 +394,13 @@ def emit_figure_data(
         src_path = src / name
         if not src_path.exists():
             raise DataError(f"{src_path} not found (run an analysis first)")
+        if figure_id == "acf":
+            curve = read_acf_csv(src_path, source_length=_report_m_n(src / "report.json"))
+            fit = lrcstats.fit_power_law(curve.points, decay=True)
+            manifest["fit"] = {"exponent": fit.exponent, "amplitude": fit.amplitude}
         with open_output(out / name) as fh:
             fh.write(src_path.read_text(encoding="utf-8"))
         manifest["files"].append({"file": name, "x": axes[0], "y": axes[1]})
-        if figure_id == "acf":
-            report = json.loads((src / "report.json").read_text(encoding="utf-8"))
-            curve = read_acf_csv(src_path, source_length=int(report["m_n"]))
-            fit = lrcstats.fit_power_law(curve.points, decay=True)
-            manifest["fit"] = {"exponent": fit.exponent, "amplitude": fit.amplitude}
 
     write_json(out / "manifest.json", manifest)
     return manifest

@@ -19,6 +19,8 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
+_WRITE_BLOCK = 1 << 16  # lines joined per write of a token file
+
 
 class DataError(ValueError):
     """The input data cannot support the requested computation."""
@@ -58,7 +60,20 @@ class TokenSequence:
     symbols: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        arr = np.array(self.tokens, dtype=np.int64)
+        self._own(np.array(self.tokens, dtype=np.int64))
+
+    @classmethod
+    def _adopt(cls, tokens: np.ndarray, symbols: Sequence[str] | None = None) -> "TokenSequence":
+        """A sequence over an int64 array that the caller hands over: the
+        array is frozen in place, not copied, so the caller must not keep a
+        writable reference to it."""
+        assert tokens.dtype == np.int64, "only an int64 array can be adopted"
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "symbols", symbols)
+        seq._own(tokens)
+        return seq
+
+    def _own(self, arr: np.ndarray) -> None:
         if arr.ndim != 1 or arr.size == 0:
             raise DataError("empty input")
         if arr.min() < 0:
@@ -121,7 +136,7 @@ def sequence_from_surface(surfaces: Iterable[str]) -> TokenSequence:
         append(i)
     if not out:
         raise DataError("empty input")
-    return TokenSequence(np.frombuffer(out, dtype=np.int64), symbols=tuple(ids))
+    return TokenSequence._adopt(np.frombuffer(out, dtype=np.int64), symbols=tuple(ids))
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,11 +369,12 @@ def write_token_file(seq: TokenSequence, path: str | Path) -> None:
     names = seq.symbols
     if names is None:
         names = [f"w{i}" for i in range(int(seq.tokens.max()) + 1)]
-    words = np.array(names, dtype=object)[seq.tokens]
-    # Two writes: appending the final newline to the joined text would copy it.
+    table = np.array(names, dtype=object)
+    # One block of lines at a time; each block ends in a newline, as the file does.
     with open_output(path) as fh:
-        fh.write("\n".join(words.tolist()))
-        fh.write("\n")
+        for lo in range(0, seq.m, _WRITE_BLOCK):
+            fh.write("\n".join(table[seq.tokens[lo : lo + _WRITE_BLOCK]].tolist()))
+            fh.write("\n")
 
 
 def _write_csv(path: str | Path, header: str, rows: Iterable[str]) -> None:

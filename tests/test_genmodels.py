@@ -6,6 +6,8 @@ from scipy.stats import chisquare
 
 from lrclab.genmodels import (
     _eta_innovations,
+    _pointer_dtype,
+    _relabel_first_occurrence,
     _resampled,
     _resolve,
     GeneratorState,
@@ -187,6 +189,22 @@ def _replay_uniform_copy(kernel, params):
     return past
 
 
+def _replay_pitman_yor(params):
+    """Tokens from feeding pitman_yor_next the draws of a bulk run: all
+    innovation uniforms, then all reuse uniforms."""
+    m, a, b = params.length, params.a, params.b
+    rng = np.random.default_rng(params.seed)
+    u_new = rng.random(m - 1).tolist()
+    u_pick = rng.random(m - 1).tolist()
+    state = GeneratorState.initial()
+    replayed = [0]
+    for s in range(m - 1):
+        tok = pitman_yor_next(state, a, b, _Replay([u_new[s], u_pick[s]]))
+        state.apply(tok)
+        replayed.append(tok)
+    return replayed
+
+
 class TestBulkMatchesKernels:
     """The bulk generators emit, step for step, what the single-step
     kernels return for the same uniforms."""
@@ -216,16 +234,24 @@ class TestBulkMatchesKernels:
     def test_pitman_yor(self, length, a, b):
         for seed in DIFF_SEEDS:
             p = ModelParams(model="pitman_yor", length=length, seed=seed, a=a, b=b)
-            rng = np.random.default_rng(seed)
-            u_new = rng.random(length - 1).tolist()
-            u_pick = rng.random(length - 1).tolist()
-            state = GeneratorState.initial()
-            replayed = [0]
-            for s in range(length - 1):
-                tok = pitman_yor_next(state, a, b, _Replay([u_new[s], u_pick[s]]))
-                state.apply(tok)
-                replayed.append(tok)
-            assert generate_pitman_yor(p).tokens.tolist() == replayed
+            assert generate_pitman_yor(p).tokens.tolist() == _replay_pitman_yor(p)
+
+    @pytest.mark.parametrize("model,params", [
+        ("simon", {"alpha": 0.1}),
+        ("conjunct", {"a": 0.68, "b": 0.8}),
+        ("pitman_yor", {"a": 0.68, "b": 0.8}),
+        ("pitman_yor", {"a": 0.0, "b": 0.8}),
+    ])
+    def test_across_draw_blocks(self, model, params):
+        # 70000 elements cross the edges of the bulk generators' draw
+        # blocks, which the short lengths above never reach
+        p = ModelParams(model=model, length=70_000, seed=11, **params)
+        if model == "pitman_yor":
+            replayed = _replay_pitman_yor(p)
+        else:
+            kernel = simon_next if model == "simon" else conjunct_next
+            replayed = _replay_uniform_copy(lambda past, rng, k: kernel(past, *p.to_dict().values(), rng, k=k), p)
+        assert generate(p).tokens.tolist() == replayed
 
     def test_innovation_screen_matches_scalar_rule(self):
         # several screening blocks, including rates near one
@@ -241,6 +267,49 @@ class TestBulkMatchesKernels:
     def test_resolve_rejects_forward_pointer(self):
         with pytest.raises(AssertionError):
             _resolve(np.array([0, 2, 2, 1]))
+
+    def test_resolve_pointer_widths_agree(self):
+        parent = np.array([0, 0, 1, 3, 2, 3, 5, 0, 8])
+        expected = [0, 0, 0, 1, 0, 1, 1, 0, 2]
+        assert _resolve(parent.astype(np.int32)).tokens.tolist() == expected
+        assert _resolve(parent.astype(np.int64)).tokens.tolist() == expected
+
+    def test_pointer_dtype_rule(self):
+        assert _pointer_dtype(1) is np.int32
+        assert _pointer_dtype(2**31 - 1) is np.int32
+        assert _pointer_dtype(2**31) is np.int64
+        assert _pointer_dtype(2**40) is np.int64
+
+
+class TestBlockDraws:
+    """PCG64 gives the same numbers drawn a block at a time as drawn at
+    once, so the bulk generators keep the stream of whole-length draws."""
+
+    N = 2**17 + 5
+
+    @staticmethod
+    def _edges(block, n):
+        return [(lo, min(lo + block, n)) for lo in range(0, n, block)]
+
+    @pytest.mark.parametrize("block", [1, 7, 2**16 + 3])
+    def test_random(self, block):
+        whole, parts = np.random.default_rng(21), np.random.default_rng(21)
+        expected = whole.random(self.N)
+        drawn = np.concatenate([parts.random(hi - lo) for lo, hi in self._edges(block, self.N)])
+        assert np.array_equal(drawn, expected)
+        assert parts.bit_generator.state == whole.bit_generator.state
+
+    @pytest.mark.parametrize("block", [1, 7, 2**16 + 3])
+    def test_integers_with_array_bounds(self, block):
+        # each bound fits 32 bits, so every draw takes half of a 64-bit
+        # output and the other half waits in the generator for the next
+        whole, parts = np.random.default_rng(22), np.random.default_rng(22)
+        expected = whole.integers(0, np.arange(1, self.N))
+        drawn = np.concatenate(
+            [parts.integers(0, np.arange(lo + 1, hi + 1)) for lo, hi in self._edges(block, self.N - 1)]
+        )
+        assert np.array_equal(drawn, expected)
+        assert parts.bit_generator.state == whole.bit_generator.state
 
 
 class TestSimon:
@@ -477,6 +546,39 @@ class TestShuffle:
     def test_deterministic(self):
         seq = TokenSequence(np.arange(1000) % 17)
         assert np.array_equal(shuffle(seq, 9).tokens, shuffle(seq, 9).tokens)
+
+    def test_same_stream_as_index_permutation(self):
+        # permuting the ids makes the swaps of permuting their positions
+        seq = generate(ModelParams(model="simon", length=5000, seed=2, alpha=0.2))
+        for seed in range(3):
+            moved = seq.tokens[np.random.default_rng(seed).permutation(seq.m)]
+            assert np.array_equal(np.random.default_rng(seed).permutation(seq.tokens), moved)
+            out = shuffle(seq, seed)
+            assert [out.surface(t) for t in out.tokens.tolist()] == [seq.surface(t) for t in moved.tolist()]
+
+
+class TestRelabel:
+    def test_matches_sorting_reference(self):
+        # several relabelling blocks, sparse labels, and labels that first
+        # occur late
+        rng = np.random.default_rng(8)
+        labels = rng.integers(0, 10**6, size=3000) * 7
+        raw = labels[np.minimum(rng.zipf(1.3, size=50_000), labels.size) - 1]
+        raw[-3:] = [10**8, 5, 10**8]
+        uniq, first = np.unique(raw, return_index=True)
+        order = uniq[np.argsort(first)]
+        new_id = {label: i for i, label in enumerate(order.tolist())}
+        ids = raw.copy()
+        assert _relabel_first_occurrence(ids).tolist() == order.tolist()
+        assert ids.tolist() == [new_id[x] for x in raw.tolist()]
+
+    def test_resampled_takes_over_the_ids(self):
+        source = TokenSequence(np.array([0, 1, 2, 3]), symbols=("a", "b", "c", "d"))
+        ids = np.array([3, 1, 3, 0])
+        out = _resampled(ids, source)
+        assert out.tokens.tolist() == [0, 1, 0, 2]
+        assert out.symbols == ("d", "b", "a")
+        assert np.shares_memory(out.tokens, ids) and not out.tokens.flags.writeable
 
 
 class TestMetadata:

@@ -512,6 +512,37 @@ class TestCli:
         assert cli.main(["figure", "--input", str(out), "--id", "acf", "--out", str(tmp_path / "fig")]) == 2
         assert "acf.csv not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", [
+        lambda r: json.dumps({k: v for k, v in r.items() if k != "m_n"}),
+        lambda r: json.dumps({**r, "m_n": None}),
+        lambda r: json.dumps({**r, "m_n": str(r["m_n"])}),
+        lambda r: json.dumps({**r, "m_n": float(r["m_n"])}),
+        lambda r: json.dumps({**r, "m_n": True}),
+        lambda r: "{",
+        lambda r: "[]",
+        None,
+    ], ids=["missing", "null", "string", "float", "bool", "broken-json", "not-an-object", "no-report"])
+    def test_acf_figure_bad_report_exit_code(self, tmp_path, capsys, damage):
+        # m_n keeps its value where only its type is wrong, so that the
+        # type check alone rejects it
+        src = tmp_path / "tokens.txt"
+        rng = np.random.default_rng(3)
+        src.write_text("\n".join(f"w{t}" for t in rng.integers(0, 40, size=20000)) + "\n")
+        analysis = tmp_path / "analysis"
+        assert cli.main(["analyze", "--input", str(src), "--out", str(analysis)]) == 0
+        assert (analysis / "acf.csv").exists()
+        path = analysis / "report.json"
+        if damage is None:
+            path.unlink()
+        else:
+            path.write_text(damage(json.loads(path.read_text())))
+        capsys.readouterr()
+        out = tmp_path / "fig"
+        assert cli.main(["figure", "--input", str(analysis), "--id", "acf", "--out", str(out)]) == 2
+        assert "lrclab: error:" in capsys.readouterr().err
+        assert not (out / "acf.csv").exists()
+        assert not (out / "manifest.json").exists()
+
     def test_generate_py_requires_b(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main([

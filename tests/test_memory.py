@@ -1,18 +1,29 @@
-"""Peak traced memory per token of the corpus path's whole-sequence stages.
+"""Peak traced memory per token of the whole-sequence stages.
 
-Both stages keep token ids in flat buffers and hold Python strings for one
-block of text at a time. Measured at 2e5 tokens (CPython 3.11, numpy 2.4):
-read_tokens 29 and generate_bigram 37 bytes a token, against 93 and 119
-while each held a Python list with one object per token."""
+The corpus path keeps token ids in flat buffers and holds Python strings
+for one block of text at a time. The generators draw their random numbers
+a block at a time, keep copy pointers as int32 below 2**31 elements, and
+hand their finished int64 ids to TokenSequence without a copy. Measured at
+2e5 tokens (CPython 3.11, numpy 2.4), in bytes a token, with the figure
+before these changes in parentheses:
+
+    read_tokens 29 (93 while it held one Python object per token)
+    generate_bigram 30 (119 with one object per token, then 37)
+    generate: Simon alpha 0.1 16 (43), Simon alpha 0.4 16 (37),
+        conjunct (0.68, 0.8) 16 (42), Pitman-Yor (0.68, 0.8) and
+        (0, 0.8) 18 (74)
+    shuffle 19 (39)
+    generate_zipf_iid, 50000 ranks, 16 (32)"""
 
 import tracemalloc
 
 import pytest
 
 from lrclab.corpusio import read_tokens
-from lrclab.genmodels import ModelParams, generate, generate_bigram
+from lrclab.genmodels import ModelParams, generate, generate_bigram, generate_zipf_iid, shuffle
 
 TOKENS = 200_000
+GENERATOR_BOUND = 24  # bytes a token, for every generator and shuffle
 
 
 def peak_bytes_per_token(fn):
@@ -26,9 +37,13 @@ def peak_bytes_per_token(fn):
 
 
 @pytest.fixture(scope="module")
-def text():
-    seq = generate(ModelParams(model="simon", length=TOKENS, seed=3, alpha=0.1))
-    return "\n".join(f"Word{t}" for t in seq.tokens.tolist()) + "\n"
+def simon():
+    return generate(ModelParams(model="simon", length=TOKENS, seed=3, alpha=0.1))
+
+
+@pytest.fixture(scope="module")
+def text(simon):
+    return "\n".join(f"Word{t}" for t in simon.tokens.tolist()) + "\n"
 
 
 def test_read_tokens(text):
@@ -42,3 +57,29 @@ def test_generate_bigram(text):
     per_token, seq = peak_bytes_per_token(lambda: generate_bigram(corpus, TOKENS, 5))
     assert seq.m == TOKENS
     assert per_token < 60
+
+
+@pytest.mark.parametrize("model,params", [
+    ("simon", {"alpha": 0.1}),
+    ("simon", {"alpha": 0.4}),
+    ("conjunct", {"a": 0.68, "b": 0.8}),
+    ("pitman_yor", {"a": 0.68, "b": 0.8}),
+    ("pitman_yor", {"a": 0.0, "b": 0.8}),
+])
+def test_generate(simon, model, params):
+    p = ModelParams(model=model, length=TOKENS, seed=4, **params)
+    per_token, seq = peak_bytes_per_token(lambda: generate(p))
+    assert seq.m == TOKENS
+    assert per_token <= GENERATOR_BOUND
+
+
+def test_shuffle(simon):
+    per_token, seq = peak_bytes_per_token(lambda: shuffle(simon, 5))
+    assert seq.m == TOKENS
+    assert per_token <= GENERATOR_BOUND
+
+
+def test_generate_zipf_iid(simon):
+    per_token, seq = peak_bytes_per_token(lambda: generate_zipf_iid(50_000, 1.0, TOKENS, 5))
+    assert seq.m == TOKENS
+    assert per_token <= GENERATOR_BOUND

@@ -84,6 +84,24 @@ class TestTokenSequence:
         with pytest.raises(ValueError):
             seq.tokens[0] = 5
 
+    def test_caller_array_stays_writable_and_unshared(self):
+        arr = np.array([0, 1, 0], dtype=np.int64)
+        seq = TokenSequence(arr)
+        assert arr.flags.writeable and not np.shares_memory(arr, seq.tokens)
+        arr[0] = 1
+        assert seq.tokens.tolist() == [0, 1, 0]
+
+    def test_adopt_freezes_without_copy(self):
+        arr = np.array([0, 1, 0], dtype=np.int64)
+        seq = TokenSequence._adopt(arr, symbols=["a", "b"])
+        assert np.shares_memory(arr, seq.tokens) and not seq.tokens.flags.writeable
+        assert seq == TokenSequence(np.array([0, 1, 0]), symbols=("a", "b"))
+
+    @pytest.mark.parametrize("tokens,symbols", [([], None), ([0, -1], None), ([0, 3], ("a", "b"))])
+    def test_adopt_validates(self, tokens, symbols):
+        with pytest.raises(DataError):
+            TokenSequence._adopt(np.array(tokens, dtype=np.int64), symbols=symbols)
+
     def test_first_occurrence_ids(self):
         seq = sequence_from_surface(["b", "a", "b", "c"])
         assert seq.tokens.tolist() == [0, 1, 0, 2]
