@@ -8,6 +8,7 @@ an explicit --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -60,21 +61,16 @@ def _cmd_generate(args: argparse.Namespace, parser: _Parser) -> int:
         if args.vocab is None or args.exponent is None:
             parser.error("--vocab and --exponent are required for --model zipf")
         seq = generate_zipf_iid(args.vocab, args.exponent, args.length, args.seed)
-        write_token_file(seq, out)
         params = {"vocab_size": args.vocab, "exponent": args.exponent}
-        write_json(str(out) + ".meta.json", file_metadata("zipf", params, args.seed, seq))
-        return 0
-    if model == "bigram":
+    else:
         if args.corpus is None:
             parser.error("--corpus is required for --model bigram")
         corpus = read_token_file(args.corpus)
         seq = generate_bigram(corpus, args.length, args.seed)
-        write_token_file(seq, out)
         params = {"corpus": str(args.corpus)}
-        write_json(str(out) + ".meta.json", file_metadata("bigram", params, args.seed, seq))
-        return 0
-    parser.error(f"unknown model {model}")
-    return USAGE_EXIT
+    write_token_file(seq, out)
+    write_json(str(out) + ".meta.json", file_metadata(model, params, args.seed, seq))
+    return 0
 
 
 def _cmd_shuffle(args: argparse.Namespace) -> int:
@@ -121,12 +117,14 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="analyze a token file")
+    p.set_defaults(handler=_cmd_analyze)
     p.add_argument("--input", required=True)
     p.add_argument("--n", type=int, default=lrcstats.DEFAULT_RARITY, help="rarity divisor (default 16)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--rare", default=None, help="comma-separated surface forms forcing the rare set")
 
     p = sub.add_parser("generate", help="generate a sequence from a model")
+    p.set_defaults(handler=functools.partial(_cmd_generate, parser=parser))
     p.add_argument("--model", required=True, choices=["simon", "py", "conjunct", "zipf", "bigram"])
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--a", type=float, default=None)
@@ -139,22 +137,26 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output token file")
 
     p = sub.add_parser("shuffle", help="shuffle a token file at the word level")
+    p.set_defaults(handler=_cmd_shuffle)
     p.add_argument("--input", required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("sweep", help="run a parameter sweep from a JSON spec")
+    p.set_defaults(handler=_cmd_sweep)
     p.add_argument("--spec", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("chat-extract", help="extract speaker tokens from a CHAT transcript")
+    p.set_defaults(handler=_cmd_chat_extract)
     p.add_argument("--input", required=True)
     p.add_argument("--speakers", required=True, help="comma-separated speaker codes")
     p.add_argument("--out", required=True)
     p.add_argument("--drop-codes", default=None, help="comma-separated codes to drop (default xxx,yyy,www)")
 
     p = sub.add_parser("figure", help="emit the data behind one figure panel")
+    p.set_defaults(handler=_cmd_figure)
     p.add_argument("--input", required=True, help="analysis or sweep output directory")
     p.add_argument("--id", required=True, choices=list(harness.FIGURE_IDS))
     p.add_argument("--out", required=True, help="output directory")
@@ -166,23 +168,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "generate":
-            return _cmd_generate(args, parser)
-        if args.command == "shuffle":
-            return _cmd_shuffle(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "chat-extract":
-            return _cmd_chat_extract(args)
-        if args.command == "figure":
-            return _cmd_figure(args)
+        return args.handler(args)
     except (DataError, OSError) as exc:
         print(f"lrclab: error: {exc}", file=sys.stderr)
         return DATA_EXIT
-    parser.error("no command given")
-    return USAGE_EXIT
 
 
 if __name__ == "__main__":

@@ -24,10 +24,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .seqcore import DataError, TokenSequence
-
-_BLOCK = 1 << 12  # steps screened together for (a, b) innovations
-_DRAW = 1 << 14  # elements per block of random draws and of block-wise passes
+from .seqcore import DataError, TokenSequence, _spans, label_counts
 
 
 @dataclass
@@ -198,23 +195,17 @@ def _pointer_dtype(m: int) -> type:
     return np.int32 if m < 2**31 else np.int64
 
 
-def _spans(lo: int, hi: int) -> Iterator[tuple[int, int]]:
-    """Consecutive [start, stop) blocks of at most _DRAW covering [lo, hi)."""
-    for start in range(lo, hi, _DRAW):
-        yield start, min(start + _DRAW, hi)
-
-
 def _uniform_blocks(rng: np.random.Generator, n: int) -> Iterator[np.ndarray]:
     """n uniforms in consecutive blocks: the same stream as rng.random(n)."""
     for lo, hi in _spans(0, n):
         yield rng.random(hi - lo)
 
 
-def _eta_innovations(u: np.ndarray | Iterable[np.ndarray], a: float, b: float) -> np.ndarray:
+def _eta_innovations(blocks: Iterable[np.ndarray], a: float, b: float) -> np.ndarray:
     """Steps at which the (a, b) rule innovates: step s emits element
     t = s + 1 and is new when u[s] < (a*K + b) / (t + b), K being the
-    vocabulary before it. `u` is one array of step uniforms or an iterable
-    of consecutive blocks of them.
+    vocabulary before it. `blocks` are consecutive blocks of the step
+    uniforms u.
 
     K grows by at most one per step, so within a block of steps no rate
     exceeds the one at K + block size; the scalar loop visits only the
@@ -224,19 +215,16 @@ def _eta_innovations(u: np.ndarray | Iterable[np.ndarray], a: float, b: float) -
     steps = []
     k = 1
     num = a * k + b
-    offset = 0
-    for chunk in [u] if isinstance(u, np.ndarray) else u:
-        for start in range(0, chunk.size, _BLOCK):
-            block = chunk[start : start + _BLOCK]
-            lo = offset + start
-            tb = np.arange(lo + 1, lo + 1 + block.size) + b
-            cand = np.flatnonzero(block < (a * (k + block.size) + b) / tb)
-            for t, x in zip((cand + lo + 1).tolist(), block[cand].tolist()):
-                if x < num / (t + b):
-                    steps.append(t - 1)
-                    k += 1
-                    num = a * k + b
-        offset += chunk.size
+    lo = 0
+    for block in blocks:
+        tb = np.arange(lo + 1, lo + 1 + block.size) + b
+        cand = np.flatnonzero(block < (a * (k + block.size) + b) / tb)
+        for t, x in zip((cand + lo + 1).tolist(), block[cand].tolist()):
+            if x < num / (t + b):
+                steps.append(t - 1)
+                k += 1
+                num = a * k + b
+        lo += block.size
     return np.array(steps, dtype=np.int64)
 
 
@@ -372,15 +360,12 @@ def generate(params: ModelParams) -> TokenSequence:
 def _relabel_first_occurrence(ids: np.ndarray) -> np.ndarray:
     """Map non-negative int labels to dense ids in first-occurrence order,
     in place. Returns, for each new id, the label it replaces."""
-    m = ids.size
-    first = np.full(int(ids.max()) + 1, m, dtype=np.int64)  # first position of each label
-    for lo, hi in _spans(0, m):
-        np.minimum.at(first, ids[lo:hi], np.arange(lo, hi))
-    labels = np.flatnonzero(first < m)
+    freqs, first = label_counts(ids)
+    labels = np.flatnonzero(freqs)
     labels = labels[np.argsort(first[labels])]
     new_id = first  # the first positions are no longer needed
     new_id[labels] = np.arange(labels.size)
-    for lo, hi in _spans(0, m):
+    for lo, hi in _spans(0, ids.size):
         ids[lo:hi] = new_id[ids[lo:hi]]
     return labels
 

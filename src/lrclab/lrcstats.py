@@ -302,16 +302,13 @@ def analyze(
     ints: IntervalSequence | None = None
     skipped: str | None = None
     if rare is not None:
-        rare_ids: set[int] | None = set(int(r) for r in rare)
-        ints = extract_intervals(seq, rare_ids, n=None)
+        ints = extract_intervals(seq, rare, n=None)
     elif seq.m >= n:
         rare_ids = select_rare_set(seq, n)
-        ids, freqs, _ = seq.type_stats
-        occurrences = int(freqs[np.searchsorted(ids, sorted(rare_ids))].sum())
-        if occurrences >= 2:
+        try:
             ints = extract_intervals(seq, rare_ids, n=n)
-        else:
-            skipped = "insufficient occurrences"
+        except DataError as exc:
+            skipped = str(exc)
     else:
         skipped = "sequence too short"
 

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-_WRITE_BLOCK = 1 << 16  # lines joined per write of a token file
+_BLOCK = 1 << 14  # positions per block of every block-wise pass
 
 
 class DataError(ValueError):
@@ -47,6 +47,28 @@ def moments(xs: Sequence[float] | np.ndarray) -> tuple[float, float]:
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _spans(lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """Consecutive [start, stop) blocks of at most _BLOCK covering [lo, hi)."""
+    for start in range(lo, hi, _BLOCK):
+        yield start, min(start + _BLOCK, hi)
+
+
+def label_counts(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(freqs, first) over the labels 0..max of non-empty, non-negative int
+    ids: each label's count and first position (ids.size if it is absent).
+
+    The scatters run one block at a time, so no whole-length temporary is
+    built and a read-only `ids` is not copied, as np.bincount would."""
+    m = ids.size
+    freqs = np.zeros(int(ids.max()) + 1, dtype=np.int64)
+    first = np.full(freqs.size, m, dtype=np.int64)
+    for lo, hi in _spans(0, m):
+        block = ids[lo:hi]
+        np.add.at(freqs, block, 1)
+        np.minimum.at(first, block, np.arange(lo, hi))
+    return freqs, first
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,9 +121,7 @@ class TokenSequence:
         each id's token count and first position. Equal to what
         np.unique(tokens, return_index=True) and bincount give, for any ids,
         but computed in O(M) without sorting the tokens."""
-        freqs = np.bincount(self.tokens)
-        first = np.full(freqs.size, self.m, dtype=np.int64)
-        np.minimum.at(first, self.tokens, np.arange(self.m))
+        freqs, first = label_counts(self.tokens)
         ids = np.flatnonzero(freqs)
         return _freeze(ids), _freeze(freqs[ids]), _freeze(first[ids])
 
@@ -243,25 +263,6 @@ class PowerLawFit:
         if self.fit_error_per_point < 0:
             raise DataError("negative fit error")
 
-    def to_dict(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "amplitude": self.amplitude,
-            "fit_error_per_point": self.fit_error_per_point,
-            "n_points_used": self.n_points_used,
-            "n_points_excluded": self.n_points_excluded,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PowerLawFit":
-        return cls(
-            exponent=float(d["exponent"]),
-            amplitude=float(d["amplitude"]),
-            fit_error_per_point=float(d["fit_error_per_point"]),
-            n_points_used=int(d["n_points_used"]),
-            n_points_excluded=int(d["n_points_excluded"]),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class RankFrequency:
@@ -372,8 +373,8 @@ def write_token_file(seq: TokenSequence, path: str | Path) -> None:
     table = np.array(names, dtype=object)
     # One block of lines at a time; each block ends in a newline, as the file does.
     with open_output(path) as fh:
-        for lo in range(0, seq.m, _WRITE_BLOCK):
-            fh.write("\n".join(table[seq.tokens[lo : lo + _WRITE_BLOCK]].tolist()))
+        for lo, hi in _spans(0, seq.m):
+            fh.write("\n".join(table[seq.tokens[lo:hi]].tolist()))
             fh.write("\n")
 
 
@@ -415,36 +416,12 @@ def write_rank_frequency_csv(rank: RankFrequency, path: str | Path) -> None:
     _write_csv(path, "rank,freq", (f"{u},{f}" for u, f in rank.entries))
 
 
-def read_rank_frequency_csv(path: str | Path) -> RankFrequency:
-    rows = _read_csv(path, "rank,freq")
-    freqs = []
-    for i, r in enumerate(rows, start=1):
-        if int(r[0]) != i:
-            raise DataError("ranks must be consecutive from 1")
-        freqs.append(int(r[1]))
-    return RankFrequency(np.array(freqs))
-
-
 def write_type_token_csv(curve: TypeTokenCurve, path: str | Path) -> None:
     _write_csv(path, "m,v", (f"{m},{v}" for m, v in curve.samples))
 
 
-def read_type_token_csv(path: str | Path) -> TypeTokenCurve:
-    rows = _read_csv(path, "m,v")
-    return TypeTokenCurve(
-        np.array([int(r[0]) for r in rows]), np.array([int(r[1]) for r in rows])
-    )
-
-
 def write_intervals_csv(ints: IntervalSequence, path: str | Path) -> None:
     _write_csv(path, "interval", (str(x) for x in ints.intervals.tolist()))
-
-
-def read_intervals_csv(path: str | Path, n: int | None = None) -> IntervalSequence:
-    """Read an interval CSV; the rarity divisor is metadata, not stored in
-    the CSV, so it must be supplied to round-trip exactly."""
-    rows = _read_csv(path, "interval")
-    return IntervalSequence(np.array([int(r[0]) for r in rows]), n=n)
 
 
 def log_grid(limit: int, per_decade: int = 20) -> np.ndarray:

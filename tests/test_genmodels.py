@@ -254,15 +254,16 @@ class TestBulkMatchesKernels:
         assert generate(p).tokens.tolist() == replayed
 
     def test_innovation_screen_matches_scalar_rule(self):
-        # several screening blocks, including rates near one
+        # uneven screening blocks, including rates near one
         u = np.random.default_rng(14).random(3 * 10**4)
+        blocks = np.split(u, [7, 7 + 19993])
         for a, b in AB_CELLS + [(0.99, 5.0), (0.3, 100.0)]:
             k, steps = 1, []
             for s, x in enumerate(u.tolist()):
                 if x < (a * k + b) / (s + 1 + b):
                     steps.append(s)
                     k += 1
-            assert _eta_innovations(u, a, b).tolist() == steps
+            assert _eta_innovations(blocks, a, b).tolist() == steps
 
     def test_resolve_rejects_forward_pointer(self):
         with pytest.raises(AssertionError):

@@ -436,6 +436,17 @@ class TestAnalyze:
         assert report.lrc_verdict is None
         assert report.acf_skipped is not None
 
+    def test_one_rare_occurrence(self):
+        # a chosen rare set that occurs once is skipped; a rarity divisor
+        # below 2 and a forced set that occurs once are errors
+        seq = read_tokens("a b " * 11 + "c a")
+        report = analyze(seq, n=16)
+        assert (report.intervals, report.acf_skipped) == (None, "insufficient occurrences")
+        with pytest.raises(DataError, match="rarity divisor"):
+            analyze(seq, n=1)
+        with pytest.raises(DataError, match="insufficient occurrences"):
+            analyze(seq, rare={seq.symbols.index("c")})
+
     def test_degenerate_constant_sequence(self):
         seq = TokenSequence(np.zeros(5000, dtype=np.int64))
         with pytest.raises(DataError, match="degenerate series"):

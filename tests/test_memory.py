@@ -13,7 +13,10 @@ before these changes in parentheses:
         conjunct (0.68, 0.8) 16 (42), Pitman-Yor (0.68, 0.8) and
         (0, 0.8) 18 (74)
     shuffle 19 (39)
-    generate_zipf_iid, 50000 ranks, 16 (32)"""
+    generate_zipf_iid, 50000 ranks, 16 (32)
+    type_stats: Simon alpha 0.1 4.0 (9.6), Pitman-Yor (0.68, 0.8) 0.9
+        (8.2), with the per-type scatters run block by block; Simon
+        alpha 0.4 stays at 16, as its 0.4 M types fill the output arrays"""
 
 import tracemalloc
 
@@ -24,6 +27,7 @@ from lrclab.genmodels import ModelParams, generate, generate_bigram, generate_zi
 
 TOKENS = 200_000
 GENERATOR_BOUND = 24  # bytes a token, for every generator and shuffle
+TYPE_STATS_BOUND = 6  # bytes a token, where the types are a small share
 
 
 def peak_bytes_per_token(fn):
@@ -83,3 +87,15 @@ def test_generate_zipf_iid(simon):
     per_token, seq = peak_bytes_per_token(lambda: generate_zipf_iid(50_000, 1.0, TOKENS, 5))
     assert seq.m == TOKENS
     assert per_token <= GENERATOR_BOUND
+
+
+@pytest.mark.parametrize("model,params", [
+    ("simon", {"alpha": 0.1}),
+    ("pitman_yor", {"a": 0.68, "b": 0.8}),
+])
+def test_type_stats(model, params):
+    # a generated sequence's tokens are read-only, like every TokenSequence's
+    seq = generate(ModelParams(model=model, length=TOKENS, seed=4, **params))
+    per_token, (_, freqs, _) = peak_bytes_per_token(lambda: seq.type_stats)
+    assert int(freqs.sum()) == TOKENS
+    assert per_token <= TYPE_STATS_BOUND
