@@ -82,6 +82,13 @@ class GeneratorState:
         assert len(self.later) == self.t - self.k, "one later entry per repeat"
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """The PCG64 generator of a seed, which must fit in 64 bits."""
+    if not 0 <= seed < 2**64:
+        raise DataError("parameter out of range: seed must fit in 64 bits")
+    return np.random.default_rng(seed)
+
+
 # The parameters each incremental model takes, in sweep-cell order.
 MODEL_PARAMS = {"simon": ("alpha",), "pitman_yor": ("a", "b"), "conjunct": ("a", "b")}
 
@@ -109,15 +116,14 @@ class ModelParams:
             raise DataError(f"unknown model '{self.model}'")
         if self.length < 1:
             raise DataError("parameter out of range: length must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise DataError("parameter out of range: seed must fit in 64 bits")
+        _seeded_rng(self.seed)  # raises on a seed outside [0, 2**64)
         taken = MODEL_PARAMS[self.model]
         if "alpha" in taken and (self.alpha is None or not 0.0 < self.alpha < 1.0):
             raise DataError("parameter out of range: alpha must be in (0, 1)")
         if "a" in taken and (self.a is None or not 0.0 <= self.a < 1.0):
             raise DataError("parameter out of range: a must be in [0, 1)")
-        if "b" in taken and (self.b is None or self.b < 0.0):
-            raise DataError("parameter out of range: b must be >= 0")
+        if "b" in taken and (self.b is None or not 0.0 <= self.b < np.inf):
+            raise DataError("parameter out of range: b must be finite and >= 0")
         for name in ("alpha", "a", "b"):
             if name not in taken and getattr(self, name) is not None:
                 raise DataError(f"{self.model} takes {', '.join(taken)}, not {name}")
@@ -267,7 +273,7 @@ def _generate_uniform_copy(
     returns for the blocks of step uniforms, else a copy of a uniformly
     random earlier position."""
     m = params.length
-    rng = np.random.default_rng(params.seed)
+    rng = _seeded_rng(params.seed)
     new = innovations(_uniform_blocks(rng, m - 1)) + 1
     parent = np.empty(m, dtype=_pointer_dtype(m))
     parent[0] = 0
@@ -309,7 +315,7 @@ def generate_pitman_yor(params: ModelParams) -> TokenSequence:
     _require(params, "pitman_yor")
     a, b = params.a, params.b
     m = params.length
-    rng = np.random.default_rng(params.seed)
+    rng = _seeded_rng(params.seed)
     dtype = _pointer_dtype(m)
     roots = np.concatenate(([0], _eta_innovations(_uniform_blocks(rng, m - 1), a, b) + 1)).astype(dtype)
     is_root = np.zeros(m, dtype=bool)
@@ -385,9 +391,9 @@ def generate_zipf_iid(
     """I.i.d. draws from p(u) proportional to u**-exponent over ranks
     u = 1..vocab_size, via binary search on the cumulative weight table.
     Ids are relabeled in first-occurrence order."""
-    if vocab_size < 1 or exponent <= 0.0 or length < 1:
-        raise DataError("parameter out of range")
-    rng = np.random.default_rng(seed)
+    if vocab_size < 1 or not 0.0 < exponent < np.inf or length < 1:
+        raise DataError("parameter out of range: exponent must be finite and > 0, vocab and length >= 1")
+    rng = _seeded_rng(seed)
     cdf = np.arange(1, vocab_size + 1, dtype=np.float64)
     np.power(cdf, -exponent, out=cdf)
     np.cumsum(cdf, out=cdf)
@@ -414,7 +420,7 @@ def generate_bigram(corpus: TokenSequence, length: int, seed: int) -> TokenSeque
         raise DataError("corpus too short for bigrams")
     if length < 1:
         raise DataError("parameter out of range")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     ids = corpus.tokens
     m_c = corpus.m
     heads = ids[:-1]
@@ -441,8 +447,7 @@ def generate_bigram(corpus: TokenSequence, length: int, seed: int) -> TokenSeque
 def shuffle(seq: TokenSequence, seed: int) -> TokenSequence:
     """Uniform random permutation of the tokens (Fisher-Yates, PCG64), with
     ids relabelled in first-occurrence order."""
-    rng = np.random.default_rng(seed)
-    return _resampled(rng.permutation(seq.tokens), seq)
+    return _resampled(_seeded_rng(seed).permutation(seq.tokens), seq)
 
 
 def file_metadata(model: str, params: dict, seed: int, seq: TokenSequence) -> dict:

@@ -97,6 +97,10 @@ class SweepSpec:
         axes = [f"{name}_values" for name in MODEL_PARAMS[self.model]]
         if any(bool(getattr(self, axis)) != (axis in axes) for axis in GRID_AXES):
             raise DataError(f"{self.model} sweeps take {' and '.join(axes)} only")
+        # Every cell is checked at the first and last replicate seed before any run.
+        for cell in self.cells():
+            for seed in (self.base_seed, self.base_seed + self.replicates - 1):
+                _cell_params(self.model, cell, self.length, seed)
 
     def cells(self) -> list[tuple[float, ...]]:
         axes = (sorted(getattr(self, f"{name}_values")) for name in MODEL_PARAMS[self.model])
@@ -169,10 +173,14 @@ class SweepResult:
     aggregates: tuple[CellAggregate, ...]
 
 
+def _cell_params(model: str, cell: tuple[float, ...], length: int, seed: int) -> ModelParams:
+    return ModelParams(model=model, length=length, seed=seed, **dict(zip(MODEL_PARAMS[model], cell)))
+
+
 def _run_cell_job(args: tuple) -> SweepRecord:
     model, cell, replicate, length, base_seed, n = args
     seed = base_seed + replicate
-    params = ModelParams(model=model, length=length, seed=seed, **dict(zip(MODEL_PARAMS[model], cell)))
+    params = _cell_params(model, cell, length, seed)
     try:
         seq = generate(params)
         report = lrcstats.analyze(seq, n=n)

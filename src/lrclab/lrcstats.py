@@ -91,21 +91,21 @@ def select_rare_set(seq: TokenSequence, n: int = DEFAULT_RARITY) -> set[int]:
     return set(np.concatenate((ids[freqs < level], ids[chosen])).tolist())
 
 
-def extract_intervals(
-    seq: TokenSequence, rare: Iterable[int], n: int | None = None
-) -> IntervalSequence:
+def extract_intervals(seq: TokenSequence, rare: Iterable[int]) -> IntervalSequence:
     """Gaps between successive occurrences of any rare-set token, merged over
     the whole set. The interval count is the occurrence count minus one."""
     rare_ids = np.fromiter((int(r) for r in rare), dtype=np.int64)
     if rare_ids.size == 0:
         raise DataError("insufficient occurrences")
+    if rare_ids.min() < 0:
+        raise DataError("negative symbol id")
     top = int(seq.type_stats[0][-1])
     mask = np.zeros(top + 1, dtype=bool)
     mask[rare_ids[rare_ids <= top]] = True
     positions = np.flatnonzero(mask[seq.tokens])
     if positions.size < 2:
         raise DataError("insufficient occurrences")
-    return IntervalSequence(np.diff(positions), n=n)
+    return IntervalSequence(np.diff(positions))
 
 
 def acf_curve(ints: IntervalSequence) -> AcfCurve:
@@ -302,11 +302,11 @@ def analyze(
     ints: IntervalSequence | None = None
     skipped: str | None = None
     if rare is not None:
-        ints = extract_intervals(seq, rare, n=None)
+        ints = extract_intervals(seq, rare)
     elif seq.m >= n:
         rare_ids = select_rare_set(seq, n)
         try:
-            ints = extract_intervals(seq, rare_ids, n=n)
+            ints = extract_intervals(seq, rare_ids)
         except DataError as exc:
             skipped = str(exc)
     else:

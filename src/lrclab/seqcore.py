@@ -11,7 +11,7 @@ import math
 import os
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -71,8 +71,26 @@ def label_counts(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return freqs, first
 
 
+class _Frozen:
+    """Equality and length of the frozen array types below: equal when of
+    the same type with every field equal, arrays by content; the length is
+    the size of the first field. Defining __eq__ leaves them unhashable."""
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        for f in fields(self):
+            a, b = getattr(self, f.name), getattr(other, f.name)
+            if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+                return False
+        return True
+
+    def __len__(self) -> int:
+        return len(getattr(self, fields(self)[0].name))
+
+
 @dataclass(frozen=True, eq=False)
-class TokenSequence:
+class TokenSequence(_Frozen):
     """Ordered symbol ids (one per token position) with an optional id -> surface
     table. Ids are assigned in first-occurrence order at ingestion/generation
     time, which makes every downstream tie-break deterministic.
@@ -112,9 +130,6 @@ class TokenSequence:
         """Total token count."""
         return int(self.tokens.size)
 
-    def __len__(self) -> int:
-        return self.m
-
     @cached_property
     def type_stats(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(ids, freqs, first) of the types that occur, in ascending id order:
@@ -136,11 +151,6 @@ class TokenSequence:
             return (table[t] for t in self.tokens.tolist())
         return (f"w{t}" for t in self.tokens.tolist())
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TokenSequence):
-            return NotImplemented
-        return self.symbols == other.symbols and np.array_equal(self.tokens, other.tokens)
-
 
 def sequence_from_surface(surfaces: Iterable[str]) -> TokenSequence:
     """Build a TokenSequence from surface tokens, assigning ids in
@@ -160,16 +170,13 @@ def sequence_from_surface(surfaces: Iterable[str]) -> TokenSequence:
 
 
 @dataclass(frozen=True, eq=False)
-class IntervalSequence:
+class IntervalSequence(_Frozen):
     """Position gaps between successive occurrences of the rare-token set.
-
-    `n` is the rarity divisor used to pick the set (None when the set was
-    forced explicitly). The count of intervals is one less than the number
-    of rare-token occurrences.
+    The count of intervals is one less than the number of rare-token
+    occurrences.
     """
 
     intervals: np.ndarray
-    n: int | None = None
     mu: float = field(init=False)
     sigma: float = field(init=False)
 
@@ -189,17 +196,9 @@ class IntervalSequence:
         """Interval count (number of rare occurrences minus one)."""
         return int(self.intervals.size)
 
-    def __len__(self) -> int:
-        return self.m_n
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntervalSequence):
-            return NotImplemented
-        return self.n == other.n and np.array_equal(self.intervals, other.intervals)
-
 
 @dataclass(frozen=True, eq=False)
-class AcfCurve:
+class AcfCurve(_Frozen):
     """Autocorrelation samples (s, c) on a geometric offset grid.
 
     `source_length` is the length of the analyzed series; offsets never
@@ -228,18 +227,6 @@ class AcfCurve:
     def points(self) -> list[tuple[int, float]]:
         return list(zip(self.offsets.tolist(), self.values.tolist()))
 
-    def __len__(self) -> int:
-        return int(self.offsets.size)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AcfCurve):
-            return NotImplemented
-        return (
-            self.source_length == other.source_length
-            and np.array_equal(self.offsets, other.offsets)
-            and np.array_equal(self.values, other.values)
-        )
-
 
 @dataclass(frozen=True)
 class PowerLawFit:
@@ -265,7 +252,7 @@ class PowerLawFit:
 
 
 @dataclass(frozen=True, eq=False)
-class RankFrequency:
+class RankFrequency(_Frozen):
     """Type frequencies in descending order; rank u is 1-based (index + 1)."""
 
     frequencies: np.ndarray
@@ -288,17 +275,9 @@ class RankFrequency:
     def total(self) -> int:
         return int(self.frequencies.sum())
 
-    def __len__(self) -> int:
-        return int(self.frequencies.size)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RankFrequency):
-            return NotImplemented
-        return np.array_equal(self.frequencies, other.frequencies)
-
 
 @dataclass(frozen=True, eq=False)
-class TypeTokenCurve:
+class TypeTokenCurve(_Frozen):
     """Vocabulary size V(m) sampled at geometrically spaced prefix lengths m."""
 
     sizes: np.ndarray
@@ -321,14 +300,6 @@ class TypeTokenCurve:
     @property
     def samples(self) -> list[tuple[int, int]]:
         return list(zip(self.sizes.tolist(), self.vocab.tolist()))
-
-    def __len__(self) -> int:
-        return int(self.sizes.size)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TypeTokenCurve):
-            return NotImplemented
-        return np.array_equal(self.sizes, other.sizes) and np.array_equal(self.vocab, other.vocab)
 
 
 # ---------------------------------------------------------------------------

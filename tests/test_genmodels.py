@@ -82,6 +82,12 @@ class TestModelParams:
         with pytest.raises(DataError, match=f"{model} takes"):
             ModelParams(model=model, length=10, seed=0, **params)
 
+    @pytest.mark.parametrize("model", ["pitman_yor", "conjunct"])
+    @pytest.mark.parametrize("b", [float("nan"), float("inf")])
+    def test_non_finite_b(self, model, b):
+        with pytest.raises(DataError, match="parameter out of range: b"):
+            ModelParams(model=model, length=10, seed=0, a=0.5, b=b)
+
     def test_model_name(self):
         with pytest.raises(DataError, match="unknown model"):
             ModelParams(model="markov", length=10, seed=0)
@@ -435,6 +441,11 @@ class TestZipfIid:
         with pytest.raises(DataError):
             generate_zipf_iid(10, -1.0, 10, 0)
 
+    @pytest.mark.parametrize("exponent", [float("nan"), float("inf")])
+    def test_non_finite_exponent(self, exponent):
+        with pytest.raises(DataError, match="parameter out of range: exponent"):
+            generate_zipf_iid(10, exponent, 10, 0)
+
     def test_ids_first_occurrence_order(self):
         seq = generate_zipf_iid(50, 1.0, 2000, 21)
         uniq, first = np.unique(seq.tokens, return_index=True)
@@ -556,6 +567,18 @@ class TestShuffle:
             assert np.array_equal(np.random.default_rng(seed).permutation(seq.tokens), moved)
             out = shuffle(seq, seed)
             assert [out.surface(t) for t in out.tokens.tolist()] == [seq.surface(t) for t in moved.tolist()]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("draw", [
+    lambda seed: generate_zipf_iid(10, 1.0, 10, seed),
+    lambda seed: generate_bigram(TokenSequence(np.array([0, 1, 0])), 10, seed),
+    lambda seed: shuffle(TokenSequence(np.array([0, 1, 0])), seed),
+    lambda seed: ModelParams(model="simon", length=10, seed=seed, alpha=0.1),
+], ids=["zipf", "bigram", "shuffle", "model_params"])
+def test_seed_must_fit_in_64_bits(draw, seed):
+    with pytest.raises(DataError, match="seed must fit in 64 bits"):
+        draw(seed)
 
 
 class TestRelabel:

@@ -106,6 +106,16 @@ class TestSweepSpec:
         with pytest.raises(DataError, match="cannot read sweep spec"):
             SweepSpec.from_json(path)
 
+    @pytest.mark.parametrize("grid", [
+        dict(model="simon", alpha_values=(0.1, 0.3, 1.5)),
+        dict(model="conjunct", a_values=(0.5,), b_values=(0.5, float("inf"))),
+        dict(model="pitman_yor", a_values=(0.5,), b_values=(float("nan"),)),
+        dict(model="simon", alpha_values=(0.1,), base_seed=2**64 - 1),
+    ])
+    def test_every_cell_checked(self, grid):
+        with pytest.raises(DataError, match="parameter out of range"):
+            SweepSpec(**{"replicates": 2, "length": 10, "base_seed": 0, **grid})
+
     def test_cells_sorted(self):
         spec = SweepSpec(model="pitman_yor", replicates=1, length=10, base_seed=0,
                          a_values=(0.5, 0.1), b_values=(1.0, 0.2))
@@ -452,6 +462,34 @@ class TestCli:
         out = tmp_path / "sweep"
         assert cli.main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 2
         assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("b", ["NaN", "Infinity"])
+    def test_non_finite_sweep_cell_runs_nothing(self, tmp_path, monkeypatch, b):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"model": "conjunct", "a_values": [0.5], "b_values": [0.5, %s], '
+                             '"replicates": 1, "length": 2000, "base_seed": 3}' % b)
+        runs = []
+        monkeypatch.setattr(harness, "generate", lambda params: runs.append(params))
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert runs == [] and not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["shuffle", "--seed", "-1"],
+        ["generate", "--model", "zipf", "--vocab", "5", "--exponent", "1", "--length", "10",
+         "--seed", str(2**64)],
+        ["generate", "--model", "py", "--a", "0.5", "--b", "inf", "--length", "50", "--seed", "1"],
+        ["generate", "--model", "zipf", "--vocab", "5", "--exponent", "nan", "--length", "10", "--seed", "1"],
+    ])
+    def test_out_of_range_seed_or_parameter_exit_code(self, tmp_path, capsys, argv):
+        src = tmp_path / "seq.txt"
+        src.write_text("a\nb\na\n")
+        out = tmp_path / "out.txt"
+        if argv[0] == "shuffle":
+            argv = [*argv, "--input", str(src)]
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert "parameter out of range" in capsys.readouterr().err
         assert not out.exists()
 
     def test_figure_command(self, tmp_path):

@@ -179,6 +179,12 @@ class TestExtractIntervals:
         with pytest.raises(DataError, match="insufficient occurrences"):
             extract_intervals(seq, {0})
 
+    def test_negative_id_rejected(self):
+        # -1 must not index from the end and pick the intervals of id 2
+        seq = TokenSequence(np.array([0, 1, 2, 1, 0, 2, 2]))
+        with pytest.raises(DataError, match="negative symbol id"):
+            extract_intervals(seq, {-1})
+
     @given(st.lists(st.integers(0, 5), min_size=4, max_size=300))
     @settings(max_examples=50, deadline=None)
     def test_positions_reconstructable(self, ids):

@@ -106,7 +106,7 @@ class TestTokenSequence:
 
 class TestIntervalSequence:
     def test_moments_recomputable(self):
-        ints = IntervalSequence(np.array([1, 4]), n=16)
+        ints = IntervalSequence(np.array([1, 4]))
         assert ints.m_n == 2
         mu, sigma = moments(ints.intervals)
         assert abs(ints.mu - mu) < 1e-9
@@ -294,7 +294,7 @@ class TestRoundTrips:
 
     def test_intervals_csv(self, tmp_path):
         path = tmp_path / "intervals.csv"
-        write_intervals_csv(IntervalSequence(np.array([1, 4, 2]), n=16), path)
+        write_intervals_csv(IntervalSequence(np.array([1, 4, 2])), path)
         assert path.read_bytes() == b"interval\n1\n4\n2\n"
 
     @pytest.mark.parametrize("text", ["s,c\n1,0.5\n2\n", "s,c\n1,0.5,0.25\n", "c,s\n1,0.5\n"])
@@ -321,6 +321,33 @@ class TestTypeValidation:
     def test_type_token_first_sample(self):
         with pytest.raises(DataError):
             TypeTokenCurve(np.array([1, 2]), np.array([2, 2]))
+
+
+# Each frozen value type: its constructor arguments, its expected len(),
+# and one replacement per field that must make an otherwise equal copy differ.
+VALUE_TYPES = [
+    (TokenSequence, dict(tokens=[0, 1, 0, 2], symbols=("a", "b", "c")), 4,
+     dict(tokens=[0, 1, 2, 0], symbols=("a", "b", "d"))),
+    (IntervalSequence, dict(intervals=[1, 4, 2]), 3, dict(intervals=[1, 4, 3])),
+    (AcfCurve, dict(offsets=[1, 2], values=[0.5, 0.25], source_length=300), 2,
+     dict(offsets=[1, 3], values=[0.5, 0.125], source_length=400)),
+    (RankFrequency, dict(frequencies=[3, 1, 1]), 3, dict(frequencies=[3, 2, 1])),
+    (TypeTokenCurve, dict(sizes=[1, 2, 4], vocab=[1, 2, 2]), 3, dict(sizes=[1, 2, 5], vocab=[1, 2, 3])),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs, length, changes", VALUE_TYPES, ids=[t[0].__name__ for t in VALUE_TYPES])
+def test_value_type_equality_and_length(cls, kwargs, length, changes):
+    value = cls(**kwargs)
+    assert value == cls(**kwargs)
+    for name, replacement in changes.items():
+        assert value != cls(**{**kwargs, name: replacement}), name
+    for other_cls, other_kwargs, _, _ in VALUE_TYPES:
+        if other_cls is not cls:
+            assert value != other_cls(**other_kwargs)
+    assert len(value) == length
+    with pytest.raises(TypeError):
+        hash(value)
 
 
 def assert_canonical(seq):
