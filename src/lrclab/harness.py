@@ -292,18 +292,18 @@ def write_sweep_result(result: SweepResult, out_dir: str | Path) -> dict[str, Pa
     return files
 
 
-def resolve_rare_ids(seq: TokenSequence, rare_words: Iterable[str]) -> set[int]:
-    """Map surface forms to ids for a forced rare set."""
+def resolve_rare_ids(seq: TokenSequence, rare_words: Iterable[str]) -> np.ndarray:
+    """Map surface forms to the ascending int64 ids of a forced rare set."""
     if seq.symbols is None:
         raise DataError("sequence has no symbol table")
     index = {s: i for i, s in enumerate(seq.symbols)}
-    ids = set()
+    ids = []
     for word in rare_words:
         key = word.lower()
         if key not in index:
             raise DataError(f"rare word '{word}' does not occur")
-        ids.add(index[key])
-    return ids
+        ids.append(index[key])
+    return np.unique(np.array(ids, dtype=np.int64))
 
 
 def run_analysis(

@@ -62,8 +62,9 @@ def autocorrelation(series: Sequence[float] | np.ndarray, s: int) -> float:
     return _acf_value(devs, variance, s)
 
 
-def select_rare_set(seq: TokenSequence, n: int = DEFAULT_RARITY) -> set[int]:
-    """Ids of the rarest types jointly covering about one Nth of all tokens.
+def select_rare_set(seq: TokenSequence, n: int = DEFAULT_RARITY) -> np.ndarray:
+    """Ids of the rarest types jointly covering about one Nth of all tokens,
+    as an ascending int64 array.
 
     Types are taken in (ascending frequency, ascending first occurrence)
     order until their total token count reaches floor(M / n): the largest
@@ -79,22 +80,26 @@ def select_rare_set(seq: TokenSequence, n: int = DEFAULT_RARITY) -> set[int]:
     # covered[f]: tokens of all types with frequency <= f. Every type below
     # the first level f where that exceeds the target is taken; the prefix
     # ends inside level f, whose types alone need ordering by first position.
-    hist = np.bincount(freqs)
+    # A type above the target crosses it alone, so frequencies are clipped at
+    # target + 1; if f lands there, the level is the least such frequency.
+    hist = np.bincount(np.minimum(freqs, target + 1))
     covered = np.cumsum(hist * np.arange(hist.size))
     level = int(np.searchsorted(covered, target, side="right"))
     below = int(covered[level - 1])
-    take = (target - below) // level
-    if below + take * level < target:
-        take += 1
+    if level > target:
+        level = int(freqs[freqs > target].min())
+    take = -(-(target - below) // level)  # ceiling: the last type may overshoot
     at_level = np.flatnonzero(freqs == level)
-    chosen = at_level[np.argsort(first[at_level], kind="stable")[:take]]
-    return set(np.concatenate((ids[freqs < level], ids[chosen])).tolist())
+    mask = freqs < level
+    mask[at_level[np.argsort(first[at_level], kind="stable")[:take]]] = True
+    return ids[mask]
 
 
-def extract_intervals(seq: TokenSequence, rare: Iterable[int]) -> IntervalSequence:
-    """Gaps between successive occurrences of any rare-set token, merged over
-    the whole set. The interval count is the occurrence count minus one."""
-    rare_ids = np.fromiter((int(r) for r in rare), dtype=np.int64)
+def extract_intervals(seq: TokenSequence, rare: np.ndarray | Iterable[int]) -> IntervalSequence:
+    """Gaps between successive occurrences of any rare-set token (an id array
+    or any iterable of ints), merged over the whole set. The interval count
+    is the occurrence count minus one."""
+    rare_ids = np.asarray(rare, np.int64) if isinstance(rare, np.ndarray) else np.fromiter(rare, np.int64)
     if rare_ids.size == 0:
         raise DataError("insufficient occurrences")
     if rare_ids.min() < 0:
@@ -281,17 +286,18 @@ class AnalysisReport:
 
 
 def analyze(
-    seq: TokenSequence, n: int = DEFAULT_RARITY, rare: Iterable[int] | None = None
+    seq: TokenSequence, n: int = DEFAULT_RARITY, rare: np.ndarray | Iterable[int] | None = None
 ) -> AnalysisReport:
     """Run the full pipeline on one sequence.
 
     The rare set is chosen by `select_rare_set` unless `rare` forces explicit
-    ids. Sequences that cannot support the interval pipeline (shorter than
-    the rarity divisor, fewer than two rare occurrences, or an interval
-    sequence too short for a reliable curve) still yield the two corpus
-    power laws; the skipped stage is recorded in the report. A degenerate
-    (zero-variance) interval sequence is an error, not a skip. A forced
-    rare set must occur at least twice, also as an error.
+    ids (an id array or any iterable of ints). Sequences that cannot support
+    the interval pipeline (shorter than the rarity divisor, fewer than two
+    rare occurrences, or an interval sequence too short for a reliable
+    curve) still yield the two corpus power laws; the skipped stage is
+    recorded in the report. A degenerate (zero-variance) interval sequence
+    is an error, not a skip. A forced rare set must occur at least twice,
+    also as an error.
 
     Fit conventions: the rank-frequency fit uses ranks subsampled on the same
     geometric grid as the other curves, which weights every decade equally;

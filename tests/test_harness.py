@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lrclab import cli, harness
+from lrclab.corpusio import read_token_file
 from lrclab.genmodels import MODEL_PARAMS, ModelParams, generate
 from lrclab.harness import (
     CellAggregate,
@@ -271,6 +272,10 @@ class TestRunAnalysis:
         payload = json.loads((out / "report.json").read_text())
         assert payload["gamma"] is None
         assert payload["m"] == 7
+        # a word named twice is one rare type, and the ids come back sorted
+        assert run_analysis(src, n=16, rare_words=["romeo", "Romeo"]) == report
+        ids = harness.resolve_rare_ids(read_token_file(src), ["thou", "Romeo", "oh", "romeo"])
+        assert ids.dtype == np.int64 and ids.tolist() == [0, 1, 4]
 
     def test_unknown_rare_word(self, tmp_path):
         src = tmp_path / "romeo.txt"

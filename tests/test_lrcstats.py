@@ -81,7 +81,9 @@ def assert_matches_oracle(seq):
         assert np.array_equal(got, want)
     for n in (2, 16):
         if seq.m >= n:
-            assert select_rare_set(seq, n) == select_rare_set_oracle(seq, n)
+            rare = select_rare_set(seq, n)
+            assert isinstance(rare, np.ndarray) and rare.dtype == np.int64
+            assert rare.tolist() == sorted(select_rare_set_oracle(seq, n))
     assert np.array_equal(rank_frequency(seq).frequencies, rank_frequency_oracle(seq))
     sizes, vocab = type_token_oracle(seq)
     curve = type_token_curve(seq)
@@ -153,7 +155,14 @@ class TestSelectRareSet:
         # target = 12 // 4 = 3: type 1 (freq 2) then type 2 would overshoot;
         # still below target after type 1, so one more type is added.
         rare = select_rare_set(seq, 4)
-        assert rare == {1, 2}
+        assert rare.tolist() == [1, 2]
+
+    def test_every_type_above_target(self):
+        # target = 120 // 16 = 7, below every frequency (40): the first type
+        # crosses the target by itself
+        seq = TokenSequence(np.tile([0, 1, 2], 40))
+        assert_matches_oracle(seq)
+        assert select_rare_set(seq, 16).tolist() == [0]
 
 
 class TestExtractIntervals:
@@ -182,8 +191,9 @@ class TestExtractIntervals:
     def test_negative_id_rejected(self):
         # -1 must not index from the end and pick the intervals of id 2
         seq = TokenSequence(np.array([0, 1, 2, 1, 0, 2, 2]))
-        with pytest.raises(DataError, match="negative symbol id"):
-            extract_intervals(seq, {-1})
+        for rare in ({-1}, np.array([-1])):
+            with pytest.raises(DataError, match="negative symbol id"):
+                extract_intervals(seq, rare)
 
     @given(st.lists(st.integers(0, 5), min_size=4, max_size=300))
     @settings(max_examples=50, deadline=None)
@@ -196,6 +206,8 @@ class TestExtractIntervals:
         ints = extract_intervals(seq, rare)
         rebuilt = positions[0] + np.cumsum(ints.intervals)
         assert np.array_equal(rebuilt, positions[1:])
+        assert extract_intervals(seq, [1, 0]) == ints
+        assert extract_intervals(seq, np.array([0, 1])) == ints
 
 
 class TestAcfCurve:

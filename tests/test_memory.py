@@ -16,14 +16,19 @@ before these changes in parentheses:
     generate_zipf_iid, 50000 ranks, 16 (32)
     type_stats: Simon alpha 0.1 4.0 (9.6), Pitman-Yor (0.68, 0.8) 0.9
         (8.2), with the per-type scatters run block by block; Simon
-        alpha 0.4 stays at 16, as its 0.4 M types fill the output arrays"""
+        alpha 0.4 stays at 16, as its 0.4 M types fill the output arrays
+    select_rare_set, after type_stats: Simon alpha 0.1 1.7 (9.8),
+        Pitman-Yor (0.68, 0.8) 1.5 (7.7), with the frequency histogram
+        clipped at the target and the ids kept in an array, not a set"""
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from lrclab.corpusio import read_tokens
 from lrclab.genmodels import ModelParams, generate, generate_bigram, generate_zipf_iid, shuffle
+from lrclab.lrcstats import select_rare_set
 
 TOKENS = 200_000
 GENERATOR_BOUND = 24  # bytes a token, for every generator and shuffle
@@ -99,3 +104,15 @@ def test_type_stats(model, params):
     per_token, (_, freqs, _) = peak_bytes_per_token(lambda: seq.type_stats)
     assert int(freqs.sum()) == TOKENS
     assert per_token <= TYPE_STATS_BOUND
+
+
+@pytest.mark.parametrize("model,params", [
+    ("simon", {"alpha": 0.1}),
+    ("pitman_yor", {"a": 0.68, "b": 0.8}),
+])
+def test_select_rare_set(model, params):
+    seq = generate(ModelParams(model=model, length=TOKENS, seed=4, **params))
+    ids, freqs, _ = seq.type_stats  # cached, so only the selection is traced
+    per_token, rare = peak_bytes_per_token(lambda: select_rare_set(seq))
+    assert per_token <= TYPE_STATS_BOUND
+    assert int(freqs[np.isin(ids, rare)].sum()) >= TOKENS // 16
