@@ -13,7 +13,7 @@ at offsets below 10 is positive; a single negative early value rejects it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .seqcore import (
     RankFrequency,
     TokenSequence,
     TypeTokenCurve,
+    _centred,
     log_grid,
 )
 
@@ -34,13 +35,15 @@ SMALL_OFFSET_LIMIT = 10
 MIN_CURVE_LENGTH = 200
 
 
-def _acf_value(devs: np.ndarray, variance: float, s: int) -> float:
+def _acf(series: Sequence[float] | np.ndarray) -> Callable[[int], float]:
+    """C(s) of a series as a function of the offset s, the series centred
+    once; C(0) is 1.0. A constant series raises DataError here, before any
+    offset is evaluated."""
+    devs, _, variance = _centred(series)
+    if variance <= 0.0:
+        raise DataError("degenerate series")
     m = devs.size
-    if s == 0:
-        cov = float(np.mean(devs * devs))
-    else:
-        cov = float(np.dot(devs[:-s], devs[s:])) / (m - s)
-    return cov / variance
+    return lambda s: 1.0 if s == 0 else float(np.dot(devs[:-s], devs[s:])) / (m - s) / variance
 
 
 def autocorrelation(series: Sequence[float] | np.ndarray, s: int) -> float:
@@ -49,17 +52,12 @@ def autocorrelation(series: Sequence[float] | np.ndarray, s: int) -> float:
         C(s) = (1 / ((M - s) * sigma**2)) * sum_{i=1..M-s} (r_i - mu)(r_{i+s} - mu)
 
     with mu and sigma the mean and population standard deviation of the whole
-    series. C(0) is 1.0 by definition.
+    series, from the same centring as `moments`. C(0) is 1.0 by definition.
+    A constant series raises DataError("degenerate series").
     """
-    arr = np.asarray(series, dtype=np.float64)
-    if s < 0 or s >= arr.size:
+    if not 0 <= s < len(series):
         raise DataError("offset out of range")
-    mu = float(arr.mean())
-    devs = arr - mu
-    variance = float(np.mean(devs * devs))
-    if variance <= 0.0:
-        raise DataError("degenerate series")
-    return _acf_value(devs, variance, s)
+    return _acf(series)(s)
 
 
 def select_rare_set(seq: TokenSequence, n: int = DEFAULT_RARITY) -> np.ndarray:
@@ -120,13 +118,9 @@ def acf_curve(ints: IntervalSequence) -> AcfCurve:
     m_n = ints.m_n
     if m_n < MIN_CURVE_LENGTH:
         raise CurveTooShortError("interval sequence too short for curve")
-    devs = ints.intervals.astype(np.float64) - ints.mu
-    variance = float(np.mean(devs * devs))
-    if variance <= 0.0:
-        raise DataError("degenerate series")
+    acf = _acf(ints.intervals)
     grid = log_grid(m_n // 100)
-    values = np.array([_acf_value(devs, variance, int(s)) for s in grid])
-    return AcfCurve(grid, values, source_length=m_n)
+    return AcfCurve(grid, [acf(s) for s in grid.tolist()], source_length=m_n)
 
 
 def fit_power_law(

@@ -11,7 +11,7 @@ import math
 import os
 from array import array
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 _BLOCK = 1 << 14  # positions per block of every block-wise pass
+GRID_PER_DECADE = 20  # points per decade of every log_grid
 
 
 class DataError(ValueError):
@@ -30,18 +31,27 @@ class CurveTooShortError(DataError):
     """An interval sequence is too short for a reliable autocorrelation curve."""
 
 
+def _centred(xs: Sequence[float] | np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(devs, mean, variance) of a non-empty series: a float64 copy minus
+    its mean, the mean, and the population variance (divide by count).
+
+    Raises DataError("empty series") on empty input."""
+    devs = np.array(xs, dtype=np.float64)
+    if devs.size == 0:
+        raise DataError("empty series")
+    mean = float(devs.mean())
+    devs -= mean
+    return devs, mean, float(np.mean(devs * devs))
+
+
 def moments(xs: Sequence[float] | np.ndarray) -> tuple[float, float]:
     """Mean and population standard deviation (divide by count, no Bessel
     correction) of a series.
 
     Raises DataError("empty series") on empty input.
     """
-    arr = np.asarray(xs, dtype=np.float64)
-    if arr.size == 0:
-        raise DataError("empty series")
-    mean = float(arr.mean())
-    sd = float(np.sqrt(np.mean((arr - mean) ** 2)))
-    return mean, sd
+    _, mean, variance = _centred(xs)
+    return mean, math.sqrt(variance)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -173,12 +183,11 @@ def sequence_from_surface(surfaces: Iterable[str]) -> TokenSequence:
 class IntervalSequence(_Frozen):
     """Position gaps between successive occurrences of the rare-token set.
     The count of intervals is one less than the number of rare-token
-    occurrences.
+    occurrences. The gaps are the only field: their mean and variance are
+    computed where they are needed, when the autocorrelation centres them.
     """
 
     intervals: np.ndarray
-    mu: float = field(init=False)
-    sigma: float = field(init=False)
 
     def __post_init__(self) -> None:
         arr = np.array(self.intervals, dtype=np.int64)
@@ -186,10 +195,7 @@ class IntervalSequence(_Frozen):
             raise DataError("empty interval sequence")
         if arr.min() < 1:
             raise DataError("intervals must be positive")
-        mu, sigma = moments(arr)
         object.__setattr__(self, "intervals", _freeze(arr))
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
 
     @property
     def m_n(self) -> int:
@@ -270,10 +276,6 @@ class RankFrequency(_Frozen):
     @property
     def entries(self) -> list[tuple[int, int]]:
         return list(enumerate(self.frequencies.tolist(), start=1))
-
-    @property
-    def total(self) -> int:
-        return int(self.frequencies.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,12 +397,12 @@ def write_intervals_csv(ints: IntervalSequence, path: str | Path) -> None:
     _write_csv(path, "interval", (str(x) for x in ints.intervals.tolist()))
 
 
-def log_grid(limit: int, per_decade: int = 20) -> np.ndarray:
-    """Geometrically spaced integers 1..limit: round(10**(k / per_decade))
+def log_grid(limit: int) -> np.ndarray:
+    """Geometrically spaced integers 1..limit: round(10**(k / GRID_PER_DECADE))
     for k = 0, 1, 2, ..., deduplicated after rounding."""
     if limit < 1:
         return np.array([], dtype=np.int64)
-    kmax = int(math.ceil(per_decade * math.log10(limit))) + 1
-    raw = np.round(10.0 ** (np.arange(kmax + 1) / per_decade)).astype(np.int64)
+    kmax = int(math.ceil(GRID_PER_DECADE * math.log10(limit))) + 1
+    raw = np.round(10.0 ** (np.arange(kmax + 1) / GRID_PER_DECADE)).astype(np.int64)
     vals = np.unique(raw)
     return vals[vals <= limit]

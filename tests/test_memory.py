@@ -19,7 +19,11 @@ before these changes in parentheses:
         alpha 0.4 stays at 16, as its 0.4 M types fill the output arrays
     select_rare_set, after type_stats: Simon alpha 0.1 1.7 (9.8),
         Pitman-Yor (0.68, 0.8) 1.5 (7.7), with the frequency histogram
-        clipped at the target and the ids kept in an array, not a set"""
+        clipped at the target and the ids kept in an array, not a set
+    select_rare_set, extract_intervals and acf_curve, after type_stats, of
+        an all-rare series, Pitman-Yor and conjunct (0, 0), which raise
+        "degenerate series": 24 (40), with the gaps the only field of
+        IntervalSequence and the series centred once, in place"""
 
 import tracemalloc
 
@@ -28,11 +32,13 @@ import pytest
 
 from lrclab.corpusio import read_tokens
 from lrclab.genmodels import ModelParams, generate, generate_bigram, generate_zipf_iid, shuffle
-from lrclab.lrcstats import select_rare_set
+from lrclab.lrcstats import acf_curve, extract_intervals, select_rare_set
+from lrclab.seqcore import DataError
 
 TOKENS = 200_000
 GENERATOR_BOUND = 24  # bytes a token, for every generator and shuffle
 TYPE_STATS_BOUND = 6  # bytes a token, where the types are a small share
+INTERVALS_BOUND = 26  # bytes a token, where every token is rare
 
 
 def peak_bytes_per_token(fn):
@@ -116,3 +122,18 @@ def test_select_rare_set(model, params):
     per_token, rare = peak_bytes_per_token(lambda: select_rare_set(seq))
     assert per_token <= TYPE_STATS_BOUND
     assert int(freqs[np.isin(ids, rare)].sum()) >= TOKENS // 16
+
+
+@pytest.mark.parametrize("model", ["pitman_yor", "conjunct"])
+def test_all_rare_intervals_and_curve(model):
+    # (0, 0) repeats one type, which is then the whole rare set: the gap
+    # series is as long as the sequence, and constant
+    seq = generate(ModelParams(model=model, length=TOKENS, seed=4, a=0.0, b=0.0))
+    seq.type_stats  # cached, as analyze has it before the interval stages
+
+    def stages():
+        with pytest.raises(DataError, match="degenerate series"):
+            acf_curve(extract_intervals(seq, select_rare_set(seq)))
+
+    per_token, _ = peak_bytes_per_token(stages)
+    assert per_token <= INTERVALS_BOUND

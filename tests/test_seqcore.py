@@ -1,5 +1,6 @@
 import ast
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import lrclab
 from lrclab.corpusio import extract_speaker, parse_chat, read_token_file, read_tokens
 from lrclab.genmodels import ModelParams, generate, generate_bigram, generate_zipf_iid, shuffle
+from lrclab.lrcstats import acf_curve, autocorrelation
 from lrclab.seqcore import (
     AcfCurve,
     DataError,
@@ -105,12 +107,21 @@ class TestTokenSequence:
 
 
 class TestIntervalSequence:
-    def test_moments_recomputable(self):
-        ints = IntervalSequence(np.array([1, 4]))
-        assert ints.m_n == 2
-        mu, sigma = moments(ints.intervals)
-        assert abs(ints.mu - mu) < 1e-9
-        assert abs(ints.sigma - sigma) < 1e-9
+    @pytest.mark.parametrize("xs", [
+        [1, 4] * 100,
+        list(range(1, 301)),
+        [3, 1, 4, 1, 5, 9, 2, 6] * 120 + [7],
+        np.random.default_rng(11).integers(1, 1000, size=4321).tolist(),
+    ], ids=["alternating", "ramp", "periodic", "random"])
+    def test_curve_is_the_autocorrelation(self, xs):
+        """The gaps are the only field, and the curve is the autocorrelation
+        of the gaps at each grid offset, bit for bit."""
+        ints = IntervalSequence(np.array(xs))
+        assert [f.name for f in fields(IntervalSequence)] == ["intervals"]
+        assert ints.m_n == len(xs)
+        grid = log_grid(len(xs) // 100).tolist()
+        assert acf_curve(ints).values.tolist() == [autocorrelation(xs, s) for s in grid]
+        assert autocorrelation(xs, 0) == 1.0
 
     def test_positive_required(self):
         with pytest.raises(DataError):
