@@ -228,8 +228,8 @@ def _aggregate(cell: tuple[float, ...], records: list[SweepRecord]) -> CellAggre
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Evaluate every grid cell `replicates` times. Results are merged and
-    ordered canonically regardless of the execution order."""
+    """Evaluate every grid cell `replicates` times. The jobs are listed in
+    canonical order, and records keep it whatever order the jobs ran in."""
     jobs = [
         (spec.model, cell, rep, spec.length, spec.base_seed, spec.n)
         for cell in spec.cells()
@@ -241,11 +241,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
             records = list(pool.map(_run_cell_job, jobs))
     else:
         records = [_run_cell_job(job) for job in jobs]
-    records.sort(key=lambda r: (r.cell, r.replicate))
-    by_cell: dict[tuple[float, ...], list[SweepRecord]] = {}
-    for rec in records:
-        by_cell.setdefault(rec.cell, []).append(rec)
-    aggregates = [_aggregate(cell, recs) for cell, recs in sorted(by_cell.items())]
+    groups = itertools.groupby(records, key=lambda r: r.cell)
+    aggregates = [_aggregate(cell, list(recs)) for cell, recs in groups]
     return SweepResult(spec=spec, records=tuple(records), aggregates=tuple(aggregates))
 
 
@@ -328,25 +325,22 @@ def run_analysis(
 def write_analysis(report: lrcstats.AnalysisReport, out_dir: str | Path) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    files: dict[str, Path] = {}
-    files["report"] = out / "report.json"
+    files = {"report": out / "report.json"}
     write_json(files["report"], report.to_dict())
-    write_rank_frequency_csv(report.rank, out / "rankfreq.csv")
-    files["rankfreq"] = out / "rankfreq.csv"
-    write_type_token_csv(report.typetoken, out / "typetoken.csv")
-    files["typetoken"] = out / "typetoken.csv"
-    # A curve this report lacks is deleted, so no older analysis's curve
-    # is left next to the new report.
-    if report.intervals is not None:
-        write_intervals_csv(report.intervals, out / "intervals.csv")
-        files["intervals"] = out / "intervals.csv"
-    else:
-        (out / "intervals.csv").unlink(missing_ok=True)
-    if report.acf is not None:
-        write_acf_csv(report.acf, out / "acf.csv")
-        files["acf"] = out / "acf.csv"
-    else:
-        (out / "acf.csv").unlink(missing_ok=True)
+    # The writers are looked up at call time, so wrappers set on the module
+    # apply. A curve the report lacks is deleted, so no stale curve remains.
+    for key, curve, writer in (
+        ("rankfreq", report.rank, write_rank_frequency_csv),
+        ("typetoken", report.typetoken, write_type_token_csv),
+        ("intervals", report.intervals, write_intervals_csv),
+        ("acf", report.acf, write_acf_csv),
+    ):
+        path = out / f"{key}.csv"
+        if curve is None:
+            path.unlink(missing_ok=True)
+        else:
+            writer(curve, path)
+            files[key] = path
     return files
 
 
@@ -397,14 +391,14 @@ def emit_figure_data(
         roles = dict(zip(("x", "y", "value"), cell_cols + ["lrc_fraction"]))
         manifest["files"].append({"file": "sweep_map.csv", **roles})
     else:
-        name = {"rankfreq": "rankfreq.csv", "typetoken": "typetoken.csv", "acf": "acf.csv"}[figure_id]
+        name = f"{figure_id}.csv"
         axes = {"rankfreq": ("rank", "freq"), "typetoken": ("m", "v"), "acf": ("s", "c")}[figure_id]
         src_path = src / name
         if not src_path.exists():
             raise DataError(f"{src_path} not found (run an analysis first)")
         if figure_id == "acf":
             curve = read_acf_csv(src_path, source_length=_report_m_n(src / "report.json"))
-            fit = lrcstats.fit_power_law(curve.points, decay=True)
+            fit = lrcstats.fit_power_law(curve.offsets, curve.values, decay=True)
             manifest["fit"] = {"exponent": fit.exponent, "amplitude": fit.amplitude}
         with open_output(out / name) as fh:
             fh.write(src_path.read_text(encoding="utf-8"))

@@ -124,31 +124,32 @@ def acf_curve(ints: IntervalSequence) -> AcfCurve:
 
 
 def fit_power_law(
-    points: Iterable[tuple[float, float]], decay: bool = True
+    x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray, decay: bool = True
 ) -> PowerLawFit:
-    """Ordinary least squares on (log10 x, log10 y) over the points with
-    positive coordinates.
+    """Ordinary least squares on (log10 x, log10 y) over the points of the
+    equal-length array-likes x and y where both are positive.
 
     With decay=True (the default) the slope is negated so that decay
     exponents come out positive; decay=False reports the signed slope, as
     appropriate for growth laws. The amplitude is the fitted y at x = 1.
     """
-    pts = [(float(x), float(y)) for x, y in points]
-    usable = [(x, y) for x, y in pts if x > 0.0 and y > 0.0]
-    excluded = len(pts) - len(usable)
-    if len(usable) < 2:
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    keep = (x > 0.0) & (y > 0.0)
+    used = int(np.count_nonzero(keep))
+    if used < 2:
         raise DataError("not enough positive points")
-    lx = np.log10([x for x, _ in usable])
-    ly = np.log10([y for _, y in usable])
+    lx = np.log10(x[keep])
+    ly = np.log10(y[keep])
     slope, intercept = np.polyfit(lx, ly, 1)
     residuals = ly - (slope * lx + intercept)
-    error = float(np.sqrt(np.sum(residuals**2))) / len(usable)
+    error = float(np.sqrt(np.sum(residuals**2))) / used
     return PowerLawFit(
         exponent=float(-slope if decay else slope),
         amplitude=float(10.0**intercept),
         fit_error_per_point=error,
-        n_points_used=len(usable),
-        n_points_excluded=excluded,
+        n_points_used=used,
+        n_points_excluded=x.size - used,
     )
 
 
@@ -164,10 +165,10 @@ def fit_heaps(curve: TypeTokenCurve) -> PowerLawFit:
     geometric grid (every integer is present, over-weighting the first
     decade) and the counts are dominated by seed noise. Curves without two
     such samples fall back to the full range."""
-    points = [(float(m), float(v)) for m, v in curve.samples if m >= 10]
-    if len(points) < 2:
-        points = [(float(m), float(v)) for m, v in curve.samples]
-    return fit_power_law(points, decay=False)
+    keep = curve.sizes >= 10
+    if np.count_nonzero(keep) < 2:
+        keep = slice(None)
+    return fit_power_law(curve.sizes[keep], curve.vocab[keep], decay=False)
 
 
 def fit_zipf(rank: RankFrequency) -> PowerLawFit:
@@ -177,8 +178,7 @@ def fit_zipf(rank: RankFrequency) -> PowerLawFit:
     grid = log_grid(freqs.size)
     if grid.size == 0 or int(grid[-1]) != freqs.size:
         grid = np.append(grid, freqs.size)
-    points = [(float(u), float(freqs[u - 1])) for u in grid]
-    return fit_power_law(points, decay=True)
+    return fit_power_law(grid, freqs[grid - 1], decay=True)
 
 
 def type_token_curve(seq: TokenSequence) -> TypeTokenCurve:
@@ -207,14 +207,16 @@ class LrcVerdict:
 def judge_lrc(curve: AcfCurve) -> LrcVerdict:
     """Long-range correlation holds iff every curve point with s < 10 is
     positive."""
-    small = [(int(s), float(c)) for s, c in curve.points if s < SMALL_OFFSET_LIMIT]
-    if not small:
+    small = curve.offsets < SMALL_OFFSET_LIMIT
+    if not small.any():
         raise DataError("curve lacks small offsets")
-    offending = tuple((s, c) for s, c in small if c <= 0.0)
+    bad = small & (curve.values <= 0.0)
+    offending = tuple(zip(curve.offsets[bad].tolist(), curve.values[bad].tolist()))
     if offending:
         listed = ", ".join(f"s={s} (c={c:.6g})" for s, c in offending)
         return LrcVerdict(False, f"non-positive autocorrelation at {listed}", offending)
-    return LrcVerdict(True, f"all {len(small)} points below offset {SMALL_OFFSET_LIMIT} are positive")
+    n_small = np.count_nonzero(small)
+    return LrcVerdict(True, f"all {n_small} points below offset {SMALL_OFFSET_LIMIT} are positive")
 
 
 @dataclass(frozen=True)
@@ -323,7 +325,7 @@ def analyze(
     if curve is not None:
         verdict = judge_lrc(curve)
         try:
-            gamma_fit = fit_power_law(curve.points, decay=True)
+            gamma_fit = fit_power_law(curve.offsets, curve.values, decay=True)
         except DataError as exc:
             skipped = f"gamma fit unavailable: {exc}"
 

@@ -205,7 +205,7 @@ class IntervalSequence(_Frozen):
 
 @dataclass(frozen=True, eq=False)
 class AcfCurve(_Frozen):
-    """Autocorrelation samples (s, c) on a geometric offset grid.
+    """Autocorrelation `values` C(s) (float64) at geometric `offsets` s (int64).
 
     `source_length` is the length of the analyzed series; offsets never
     exceed source_length // 100, past which the estimates are unreliable.
@@ -228,10 +228,6 @@ class AcfCurve(_Frozen):
             raise DataError("non-finite correlation value")
         object.__setattr__(self, "offsets", _freeze(s))
         object.__setattr__(self, "values", _freeze(c))
-
-    @property
-    def points(self) -> list[tuple[int, float]]:
-        return list(zip(self.offsets.tolist(), self.values.tolist()))
 
 
 @dataclass(frozen=True)
@@ -259,7 +255,7 @@ class PowerLawFit:
 
 @dataclass(frozen=True, eq=False)
 class RankFrequency(_Frozen):
-    """Type frequencies in descending order; rank u is 1-based (index + 1)."""
+    """Type frequencies in descending order (int64); frequencies[i] has rank i + 1."""
 
     frequencies: np.ndarray
 
@@ -273,14 +269,10 @@ class RankFrequency(_Frozen):
             raise DataError("frequencies must be non-increasing")
         object.__setattr__(self, "frequencies", _freeze(arr))
 
-    @property
-    def entries(self) -> list[tuple[int, int]]:
-        return list(enumerate(self.frequencies.tolist(), start=1))
-
 
 @dataclass(frozen=True, eq=False)
 class TypeTokenCurve(_Frozen):
-    """Vocabulary size V(m) sampled at geometrically spaced prefix lengths m."""
+    """Vocabulary size `vocab` V(m) at geometrically spaced prefix lengths `sizes` m."""
 
     sizes: np.ndarray
     vocab: np.ndarray
@@ -298,10 +290,6 @@ class TypeTokenCurve(_Frozen):
             raise DataError("one token means one type")
         object.__setattr__(self, "sizes", _freeze(m))
         object.__setattr__(self, "vocab", _freeze(v))
-
-    @property
-    def samples(self) -> list[tuple[int, int]]:
-        return list(zip(self.sizes.tolist(), self.vocab.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +374,11 @@ def read_acf_csv(path: str | Path, source_length: int) -> AcfCurve:
 
 
 def write_rank_frequency_csv(rank: RankFrequency, path: str | Path) -> None:
-    _write_csv(path, "rank,freq", (f"{u},{f}" for u, f in rank.entries))
+    _write_csv(path, "rank,freq", (f"{u},{f}" for u, f in enumerate(rank.frequencies.tolist(), start=1)))
 
 
 def write_type_token_csv(curve: TypeTokenCurve, path: str | Path) -> None:
-    _write_csv(path, "m,v", (f"{m},{v}" for m, v in curve.samples))
+    _write_csv(path, "m,v", (f"{m},{v}" for m, v in zip(curve.sizes.tolist(), curve.vocab.tolist())))
 
 
 def write_intervals_csv(ints: IntervalSequence, path: str | Path) -> None:
@@ -404,5 +392,6 @@ def log_grid(limit: int) -> np.ndarray:
         return np.array([], dtype=np.int64)
     kmax = int(math.ceil(GRID_PER_DECADE * math.log10(limit))) + 1
     raw = np.round(10.0 ** (np.arange(kmax + 1) / GRID_PER_DECADE)).astype(np.int64)
-    vals = np.unique(raw)
+    # raw is non-decreasing; np.unique would import numpy.ma on first use.
+    vals = raw[np.concatenate(([True], raw[1:] != raw[:-1]))]
     return vals[vals <= limit]

@@ -283,12 +283,22 @@ class TestRunAnalysis:
         with pytest.raises(DataError, match="does not occur"):
             run_analysis(src, rare_words=["hamlet"])
 
-    def test_full_run_writes_curves(self, tmp_path):
+    def test_full_run_writes_curves(self, tmp_path, monkeypatch):
+        # the curve writers are looked up on the module when they are called,
+        # so wrappers set there (as perfbench/spans.py sets them) see every file
+        written = []
+
+        def spy(real):
+            return lambda curve, path: (written.append(path.name), real(curve, path))
+
+        for fn in ("write_rank_frequency_csv", "write_type_token_csv", "write_intervals_csv", "write_acf_csv"):
+            monkeypatch.setattr(harness, fn, spy(getattr(harness, fn)))
         rng = np.random.default_rng(1)
         src = tmp_path / "tokens.txt"
         src.write_text("\n".join(f"w{t}" for t in rng.integers(0, 40, size=20000)) + "\n")
         out = tmp_path / "out"
         report = run_analysis(src, n=16, out_dir=out)
+        assert sorted(written) == ["acf.csv", "intervals.csv", "rankfreq.csv", "typetoken.csv"]
         for name in ("report.json", "acf.csv", "rankfreq.csv", "typetoken.csv", "intervals.csv"):
             assert (out / name).exists()
         payload = json.loads((out / "report.json").read_text())
@@ -314,12 +324,22 @@ class TestEmitFigureData:
         assert (out / "acf.csv").exists()
         assert json.loads((out / "manifest.json").read_text()) == manifest
 
+    @pytest.mark.parametrize(
+        "figure_id,axes", [("acf", ("s", "c")), ("rankfreq", ("rank", "freq")), ("typetoken", ("m", "v"))]
+    )
+    def test_curve_panel_copies_its_file(self, analysis_dir, tmp_path, figure_id, axes):
+        out = tmp_path / "fig"
+        manifest = emit_figure_data(analysis_dir, figure_id, out)
+        name = f"{figure_id}.csv"
+        assert manifest["files"] == [{"file": name, "x": axes[0], "y": axes[1]}]
+        assert (out / name).read_bytes() == (analysis_dir / name).read_bytes()
+
     def test_rankfreq_panel(self, tmp_path):
         src = tmp_path / "tiny.txt"
         src.write_text("a\nb\na\n")
         analysis = tmp_path / "analysis"
         seqreport = run_analysis(src, out_dir=analysis)
-        assert seqreport.rank.entries == [(1, 2), (2, 1)]
+        assert list(enumerate(seqreport.rank.frequencies.tolist(), start=1)) == [(1, 2), (2, 1)]
         assert seqreport.acf_skipped == "sequence too short"
         out = tmp_path / "fig"
         emit_figure_data(analysis, "rankfreq", out)

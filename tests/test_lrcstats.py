@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,14 +233,14 @@ class TestAcfCurve:
         rng = np.random.default_rng(5)
         ints = IntervalSequence(rng.integers(1, 10, size=500))
         curve = acf_curve(ints)
-        for s, c in curve.points:
+        for s, c in zip(curve.offsets.tolist(), curve.values.tolist()):
             assert c == pytest.approx(autocorrelation(ints.intervals, s), abs=1e-12)
 
 
 class TestFitPowerLaw:
     def test_exact_decay(self):
         xs = np.array([1.0, 2.0, 5.0, 10.0, 50.0])
-        fit = fit_power_law([(x, 3.0 * x**-0.5) for x in xs])
+        fit = fit_power_law(xs, 3.0 * xs**-0.5)
         assert fit.exponent == pytest.approx(0.5, abs=1e-12)
         assert fit.amplitude == pytest.approx(3.0, rel=1e-12)
         assert fit.fit_error_per_point == pytest.approx(0.0, abs=1e-12)
@@ -247,45 +249,57 @@ class TestFitPowerLaw:
 
     def test_growth_sign(self):
         xs = np.array([1.0, 10.0, 100.0])
-        fit = fit_power_law([(x, 2.0 * x**0.68) for x in xs], decay=False)
+        fit = fit_power_law(xs, 2.0 * xs**0.68, decay=False)
         assert fit.exponent == pytest.approx(0.68, abs=1e-12)
 
     def test_negative_points_excluded(self):
-        pts = [(1.0, 1.0), (2.0, 0.5), (3.0, -0.2), (4.0, 0.25)]
-        fit = fit_power_law(pts)
+        fit = fit_power_law([1.0, 2.0, 3.0, 4.0], [1.0, 0.5, -0.2, 0.25])
         assert fit.n_points_used == 3
         assert fit.n_points_excluded == 1
 
     def test_not_enough_points(self):
         with pytest.raises(DataError, match="not enough positive points"):
-            fit_power_law([(1.0, 1.0), (2.0, -1.0)])
+            fit_power_law([1.0, 2.0], [1.0, -1.0])
 
     def test_noisy_recovery(self):
         rng = np.random.default_rng(17)
         xs = log_grid(10**4).astype(float)
         noise = rng.normal(0.0, 0.01, size=xs.size)
         ys = 2.0 * xs**-0.7 * 10.0**noise
-        fit = fit_power_law(list(zip(xs, ys)))
+        fit = fit_power_law(xs, ys)
         assert fit.exponent == pytest.approx(0.7, abs=0.02)
 
     @given(st.floats(min_value=0.01, max_value=100.0))
     @settings(max_examples=30, deadline=None)
     def test_scale_covariance(self, k):
-        pts = [(1.0, 2.0), (3.0, 1.1), (10.0, 0.5), (30.0, 0.2)]
-        base = fit_power_law(pts)
-        scaled = fit_power_law([(x, k * y) for x, y in pts])
+        xs = np.array([1.0, 3.0, 10.0, 30.0])
+        ys = np.array([2.0, 1.1, 0.5, 0.2])
+        base = fit_power_law(xs, ys)
+        scaled = fit_power_law(xs, k * ys)
         assert scaled.exponent == pytest.approx(base.exponent, abs=1e-9)
         assert scaled.amplitude == pytest.approx(k * base.amplitude, rel=1e-9)
         assert scaled.fit_error_per_point == pytest.approx(
             base.fit_error_per_point, abs=1e-9
         )
 
+    def test_int64_arrays_fit_as_float64(self):
+        xs = np.array([1, 2, 3, 5, 8, 13, 21], dtype=np.int64)
+        ys = np.array([900, 410, 300, 170, 95, 61, 40], dtype=np.int64)
+        for decay in (True, False):
+            fit = fit_power_law(xs, ys, decay=decay)
+            assert fit == fit_power_law(xs.astype(np.float64), ys.astype(np.float64), decay=decay)
+
+    def test_non_positive_x_excluded(self):
+        fit = fit_power_law([0.0, -1.0, 1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 1.0, 0.5, -0.2, 0.0])
+        assert fit.n_points_used == 2
+        assert fit.n_points_excluded == 4
+
     def test_fit_error_definition(self):
         # sqrt of summed squared log10 residuals, divided by point count
-        pts = [(1.0, 1.0), (10.0, 1.0), (100.0, 10.0)]
-        fit = fit_power_law(pts, decay=False)
-        lx = np.log10([p[0] for p in pts])
-        ly = np.log10([p[1] for p in pts])
+        xs, ys = [1.0, 10.0, 100.0], [1.0, 1.0, 10.0]
+        fit = fit_power_law(xs, ys, decay=False)
+        lx = np.log10(xs)
+        ly = np.log10(ys)
         slope, intercept = np.polyfit(lx, ly, 1)
         sse = np.sum((ly - slope * lx - intercept) ** 2)
         assert fit.fit_error_per_point == pytest.approx(np.sqrt(sse) / 3, rel=1e-12)
@@ -295,7 +309,7 @@ class TestRankFrequency:
     def test_simple(self):
         seq = read_tokens("a b a")
         rank = rank_frequency(seq)
-        assert rank.entries == [(1, 2), (2, 1)]
+        assert list(enumerate(rank.frequencies.tolist(), start=1)) == [(1, 2), (2, 1)]
 
     def test_tie_break_by_first_occurrence(self):
         seq = read_tokens("b b a a c")
@@ -313,19 +327,19 @@ class TestTypeTokenCurve:
     def test_first_sample(self):
         seq = read_tokens("a b c a")
         curve = type_token_curve(seq)
-        assert curve.samples[0] == (1, 1)
+        assert (curve.sizes[0], curve.vocab[0]) == (1, 1)
 
     def test_final_sample(self):
         seq = read_tokens("a b a c b a")
         curve = type_token_curve(seq)
-        assert curve.samples[-1] == (6, 3)
+        assert (curve.sizes[-1], curve.vocab[-1]) == (6, 3)
 
     @given(st.lists(st.integers(0, 10), min_size=1, max_size=400))
     @settings(max_examples=50, deadline=None)
     def test_final_equals_distinct_count(self, ids):
         seq = TokenSequence(np.array(ids))
         curve = type_token_curve(seq)
-        assert curve.samples[-1] == (seq.m, len(set(ids)))
+        assert (curve.sizes[-1], curve.vocab[-1]) == (seq.m, len(set(ids)))
 
 
 class TestTypeStats:
@@ -397,6 +411,20 @@ class TestJudgeLrc:
         assert not verdict.holds
         assert "s=2" in verdict.reason
         assert verdict.offending == ((2, -0.01),)
+
+    def test_failing_verdict_holds_python_numbers(self):
+        # rare-word gaps alternating 1, 3: C(s) is -1 at every odd offset
+        positions = np.cumsum(np.tile([1, 3], 1000))
+        tokens = np.ones(int(positions[-1]) + 1, dtype=np.int64)
+        tokens[positions] = 0
+        report = analyze(TokenSequence(tokens), rare=np.array([0]))
+        assert report.lrc_verdict is False
+        assert [s for s, _ in report.verdict.offending] == [1, 3, 5, 7, 9]
+        for points in (report.verdict.offending, report.negative_small_s_points):
+            assert all(type(s) is int and type(c) is float for s, c in points)
+        assert json.loads(json.dumps(report.to_dict()))["negative_small_s_points"] == [
+            [s, c] for s, c in report.verdict.offending
+        ]
 
     def test_negative_large_offset_ignored(self):
         curve = AcfCurve(

@@ -1,5 +1,8 @@
 import ast
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -13,6 +16,7 @@ from lrclab.corpusio import extract_speaker, parse_chat, read_token_file, read_t
 from lrclab.genmodels import ModelParams, generate, generate_bigram, generate_zipf_iid, shuffle
 from lrclab.lrcstats import acf_curve, autocorrelation
 from lrclab.seqcore import (
+    GRID_PER_DECADE,
     AcfCurve,
     DataError,
     IntervalSequence,
@@ -146,6 +150,40 @@ class TestLogGrid:
     def test_small_integers_dense(self):
         grid = log_grid(10)
         assert grid.tolist() == [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
+
+    def test_equals_unique_of_the_rounded_powers(self):
+        for limit in [*range(1, 300), 999, 1000, 1001, 31623, 10**5, 123457, 10**8, 10**12]:
+            kmax = int(math.ceil(GRID_PER_DECADE * math.log10(limit))) + 1
+            raw = np.round(10.0 ** (np.arange(kmax + 1) / GRID_PER_DECADE)).astype(np.int64)
+            expected = np.unique(raw)
+            grid = log_grid(limit)
+            assert grid.dtype == np.int64
+            assert grid.tolist() == expected[expected <= limit].tolist(), limit
+
+    def test_first_curve_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma on its first call in a process, which
+        # holds about 1 MB; the grid needs no more than a neighbour comparison.
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from lrclab.lrcstats import acf_curve\n"
+            "from lrclab.seqcore import IntervalSequence\n"
+            "ints = IntervalSequence(np.random.default_rng(1).integers(1, 10, 1000))\n"
+            "before = 'numpy.ma' in sys.modules\n"
+            "acf_curve(ints)\n"
+            "print(before, 'numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(lrclab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert out.stdout.split() == ["False", "False"]
 
 
 class TestOpenOutput:
