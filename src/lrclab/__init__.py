@@ -39,7 +39,6 @@ from .genmodels import (
     generate_pitman_yor,
     generate_simon,
     generate_zipf_iid,
-    run_metadata,
     shuffle,
 )
 from .corpusio import (

@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import sys
-from pathlib import Path
 
 from . import harness, lrcstats
 from .corpusio import (
@@ -23,7 +22,7 @@ from .corpusio import (
 from .genmodels import (
     MODEL_PARAMS,
     ModelParams,
-    file_metadata,
+    generate,
     generate_bigram,
     generate_zipf_iid,
     shuffle,
@@ -49,13 +48,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_generate(args: argparse.Namespace, parser: _Parser) -> int:
     model = args.model
-    out = Path(args.out)
     name = "pitman_yor" if model == "py" else model
     if name in MODEL_PARAMS:
         values = {p: getattr(args, p) for p in MODEL_PARAMS[name]}
         if None in values.values():
             parser.error(f"--model {model} requires {' and '.join('--' + p for p in values)}")
-        harness.generate_to_file(ModelParams(model=name, length=args.length, seed=args.seed, **values), out)
+        params = ModelParams(model=name, length=args.length, seed=args.seed, **values)
+        seq = generate(params)
+        harness.write_sequence(seq, args.out, name, params.to_dict(), args.seed, params.degenerate)
         return 0
     if model == "zipf":
         if args.vocab is None or args.exponent is None:
@@ -68,17 +68,13 @@ def _cmd_generate(args: argparse.Namespace, parser: _Parser) -> int:
         corpus = read_token_file(args.corpus)
         seq = generate_bigram(corpus, args.length, args.seed)
         params = {"corpus": str(args.corpus)}
-    write_token_file(seq, out)
-    write_json(str(out) + ".meta.json", file_metadata(model, params, args.seed, seq))
+    harness.write_sequence(seq, args.out, model, params, args.seed)
     return 0
 
 
 def _cmd_shuffle(args: argparse.Namespace) -> int:
-    seq = read_token_file(args.input)
-    out_seq = shuffle(seq, args.seed)
-    write_token_file(out_seq, args.out)
-    params = {"input": str(args.input)}
-    write_json(str(args.out) + ".meta.json", file_metadata("shuffle", params, args.seed, out_seq))
+    seq = shuffle(read_token_file(args.input), args.seed)
+    harness.write_sequence(seq, args.out, "shuffle", {"input": str(args.input)}, args.seed)
     return 0
 
 

@@ -100,8 +100,8 @@ class ModelParams:
     `length` counts all emitted elements, including the seed element that
     every model starts from. `seed` feeds the PCG64 generator. The (a, b)
     models accept the degenerate a = b = 0 pair (innovation probability 0,
-    so the sequence is constant); it is flagged in run metadata rather than
-    rejected.
+    so the sequence is constant); it is flagged in the metadata sidecar
+    rather than rejected.
     """
 
     model: str
@@ -449,21 +449,3 @@ def shuffle(seq: TokenSequence, seed: int) -> TokenSequence:
     ids relabelled in first-occurrence order."""
     return _resampled(_seeded_rng(seed).permutation(seq.tokens), seq)
 
-
-def file_metadata(model: str, params: dict, seed: int, seq: TokenSequence) -> dict:
-    """Metadata written next to a generated or shuffled token file."""
-    return {
-        "model": model,
-        "params": params,
-        "seed": seed,
-        "length": seq.m,
-        "final_vocab": int(seq.type_stats[0].size),
-    }
-
-
-def run_metadata(params: ModelParams, seq: TokenSequence) -> dict:
-    """Metadata mirror of one generation run."""
-    meta = file_metadata(params.model, params.to_dict(), params.seed, seq)
-    if params.degenerate:
-        meta["degenerate"] = True
-    return meta

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import lrcstats
 from .corpusio import read_token_file
-from .genmodels import MODEL_PARAMS, ModelParams, generate, run_metadata
+from .genmodels import MODEL_PARAMS, ModelParams, generate
 from .seqcore import (
     DataError,
     TokenSequence,
@@ -149,6 +149,7 @@ class SweepRecord:
     seed: int
     gamma: float | None = None
     gamma_fit_error: float | None = None
+    gamma_fit_points: int | None = None
     heaps_zeta: float | None = None
     lrc_verdict: bool | None = None
     acf_points: int | None = None
@@ -186,12 +187,14 @@ def _run_cell_job(args: tuple) -> SweepRecord:
         report = lrcstats.analyze(seq, n=n)
     except DataError as exc:
         return SweepRecord(cell=cell, replicate=replicate, seed=seed, error=str(exc))
+    fit = report.gamma_fit
     return SweepRecord(
         cell=cell,
         replicate=replicate,
         seed=seed,
         gamma=report.gamma,
         gamma_fit_error=report.gamma_fit_error,
+        gamma_fit_points=fit.n_points_used if fit is not None else None,
         heaps_zeta=report.heaps_exponent,
         lrc_verdict=report.lrc_verdict,
         acf_points=len(report.acf) if report.acf is not None else None,
@@ -202,17 +205,17 @@ def _run_cell_job(args: tuple) -> SweepRecord:
 def _aggregate(cell: tuple[float, ...], records: list[SweepRecord]) -> CellAggregate:
     gammas = [r.gamma for r in records if r.gamma is not None]
     errors = [
-        (r.gamma_fit_error, r.acf_points)
+        (r.gamma_fit_error, r.gamma_fit_points)
         for r in records
-        if r.gamma_fit_error is not None and r.acf_points
+        if r.gamma_fit_error is not None and r.gamma_fit_points
     ]
     mean_gamma, sd_gamma = moments(gammas) if gammas else (None, None)
     lrc_fraction = sum(1 for r in records if r.lrc_verdict) / len(records)
     mean_fit_error = float(np.mean([e for e, _ in errors])) if errors else None
     pooled = None
     if errors:
-        # Per-run error is sqrt(SSE)/n, so SSE = (error * n)**2; pooling
-        # applies the same definition to the union of all fitted points.
+        # Per-run error is sqrt(SSE)/n over its n fitted points, so SSE =
+        # (error * n)**2; pooling applies that to the union of fitted points.
         total_sse = sum((e * k) ** 2 for e, k in errors)
         total_points = sum(k for _, k in errors)
         pooled = float(np.sqrt(total_sse) / total_points)
@@ -272,21 +275,15 @@ def _write_table(path: Path, cell_cols: list[str], kind: type, rows: Iterable) -
     _write_csv(path, ",".join(cell_cols + names), map(line, rows))
 
 
-def write_sweep_result(result: SweepResult, out_dir: str | Path) -> dict[str, Path]:
+def write_sweep_result(result: SweepResult, out_dir: str | Path) -> None:
     """Write records.csv, aggregates.csv and a sweep.json manifest."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cell_cols = list(MODEL_PARAMS[result.spec.model])
-    files = {
-        "records": out / "records.csv",
-        "aggregates": out / "aggregates.csv",
-        "manifest": out / "sweep.json",
-    }
-    _write_table(files["records"], cell_cols, SweepRecord, result.records)
-    _write_table(files["aggregates"], cell_cols, CellAggregate, result.aggregates)
+    _write_table(out / "records.csv", cell_cols, SweepRecord, result.records)
+    _write_table(out / "aggregates.csv", cell_cols, CellAggregate, result.aggregates)
     manifest = {"spec": result.spec.to_dict(), "records": "records.csv", "aggregates": "aggregates.csv"}
-    write_json(files["manifest"], manifest)
-    return files
+    write_json(out / "sweep.json", manifest)
 
 
 def resolve_rare_ids(seq: TokenSequence, rare_words: Iterable[str]) -> np.ndarray:
@@ -322,11 +319,10 @@ def run_analysis(
     return report
 
 
-def write_analysis(report: lrcstats.AnalysisReport, out_dir: str | Path) -> dict[str, Path]:
+def write_analysis(report: lrcstats.AnalysisReport, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    files = {"report": out / "report.json"}
-    write_json(files["report"], report.to_dict())
+    write_json(out / "report.json", report.to_dict())
     # The writers are looked up at call time, so wrappers set on the module
     # apply. A curve the report lacks is deleted, so no stale curve remains.
     for key, curve, writer in (
@@ -340,8 +336,6 @@ def write_analysis(report: lrcstats.AnalysisReport, out_dir: str | Path) -> dict
             path.unlink(missing_ok=True)
         else:
             writer(curve, path)
-            files[key] = path
-    return files
 
 
 def _sweep_model(path: Path) -> str:
@@ -408,11 +402,17 @@ def emit_figure_data(
     return manifest
 
 
-def generate_to_file(params: ModelParams, out_path: str | Path) -> dict:
-    """Generate a sequence, write the token file and its metadata JSON
-    (out_path + '.meta.json'), and return the metadata."""
-    seq = generate(params)
+def write_sequence(
+    seq: TokenSequence, out_path: str | Path, model: str, params: dict, seed: int, degenerate: bool = False
+) -> None:
+    """Write a generated or shuffled sequence's token file and the metadata
+    sidecar beside it: model, params, seed, length and final_vocab, then
+    `degenerate: true` for the a = b = 0 models. Every producer numbers
+    its ids densely in first-occurrence order, so the largest id gives the
+    number of distinct tokens."""
     write_token_file(seq, out_path)
-    meta = run_metadata(params, seq)
-    write_json(str(out_path) + ".meta.json", meta)
-    return meta
+    vocab = int(seq.tokens.max()) + 1
+    meta = {"model": model, "params": params, "seed": seed, "length": seq.m, "final_vocab": vocab}
+    if degenerate:
+        meta["degenerate"] = True
+    write_json(f"{out_path}.meta.json", meta)

@@ -171,22 +171,24 @@ def fit_heaps(curve: TypeTokenCurve) -> PowerLawFit:
     return fit_power_law(curve.sizes[keep], curve.vocab[keep], decay=False)
 
 
+def _grid_to(limit: int) -> np.ndarray:
+    """log_grid(limit), ending at limit itself (limit >= 1)."""
+    grid = log_grid(limit)
+    return grid if int(grid[-1]) == limit else np.append(grid, limit)
+
+
 def fit_zipf(rank: RankFrequency) -> PowerLawFit:
     """Rank-frequency decay exponent, fitted at geometrically subsampled
     ranks (always including the last) so every decade weighs equally."""
     freqs = rank.frequencies
-    grid = log_grid(freqs.size)
-    if grid.size == 0 or int(grid[-1]) != freqs.size:
-        grid = np.append(grid, freqs.size)
+    grid = _grid_to(freqs.size)
     return fit_power_law(grid, freqs[grid - 1], decay=True)
 
 
 def type_token_curve(seq: TokenSequence) -> TypeTokenCurve:
     """Vocabulary size V(m) over prefixes of length m, sampled at geometric
     m (20 points per decade) and always including m = M."""
-    grid = log_grid(seq.m)
-    if grid.size == 0 or int(grid[-1]) != seq.m:
-        grid = np.append(grid, seq.m)
+    grid = _grid_to(seq.m)
     first = np.sort(seq.type_stats[2])
     return TypeTokenCurve(grid, np.searchsorted(first, grid, side="left"))
 

@@ -1,9 +1,11 @@
+import json
 from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from lrclab import cli
 from lrclab.genmodels import (
     _eta_innovations,
     _pointer_dtype,
@@ -20,7 +22,6 @@ from lrclab.genmodels import (
     generate_simon,
     generate_zipf_iid,
     pitman_yor_next,
-    run_metadata,
     shuffle,
     simon_next,
 )
@@ -63,6 +64,13 @@ class TestGeneratorState:
             state.apply(5)
 
 
+def _generated_metadata(tmp_path, *argv):
+    """The metadata sidecar that `lrclab generate` writes for argv."""
+    out = tmp_path / "seq.txt"
+    assert cli.main(["generate", *argv, "--out", str(out)]) == 0
+    return json.loads((tmp_path / "seq.txt.meta.json").read_text())
+
+
 class TestModelParams:
     def test_simon_alpha_range(self):
         with pytest.raises(DataError, match="parameter out of range"):
@@ -92,11 +100,11 @@ class TestModelParams:
         with pytest.raises(DataError, match="unknown model"):
             ModelParams(model="markov", length=10, seed=0)
 
-    def test_degenerate_flag(self):
+    def test_degenerate_flag(self, tmp_path):
         p = ModelParams(model="conjunct", length=10, seed=0, a=0.0, b=0.0)
         assert p.degenerate
-        seq = generate_conjunct(p)
-        meta = run_metadata(p, seq)
+        meta = _generated_metadata(tmp_path, "--model", "conjunct", "--a", "0", "--b", "0",
+                                   "--length", "10", "--seed", "0")
         assert meta["degenerate"] is True
         assert meta["final_vocab"] == 1
 
@@ -606,10 +614,11 @@ class TestRelabel:
 
 
 class TestMetadata:
-    def test_fields(self):
+    def test_fields(self, tmp_path):
         p = ModelParams(model="simon", length=500, seed=4, alpha=0.3)
         seq = generate_simon(p)
-        meta = run_metadata(p, seq)
+        meta = _generated_metadata(tmp_path, "--model", "simon", "--alpha", "0.3",
+                                   "--length", "500", "--seed", "4")
         assert meta["model"] == "simon"
         assert meta["params"] == {"alpha": 0.3}
         assert meta["seed"] == 4

@@ -16,7 +16,6 @@ from lrclab.harness import (
     emit_figure_data,
     run_analysis,
     run_sweep,
-    write_analysis,
     write_sweep_result,
 )
 from lrclab.lrcstats import analyze
@@ -155,6 +154,7 @@ class TestRunSweep:
         params = ModelParams(model="conjunct", length=20000, seed=100, a=0.68, b=0.8)
         report = analyze(generate(params), n=16)
         assert result.records[0].gamma == report.gamma
+        assert result.records[0].gamma_fit_points == report.gamma_fit.n_points_used
         assert result.records[0].heaps_zeta == report.heaps_exponent
         assert result.records[0].lrc_verdict == report.lrc_verdict
 
@@ -228,7 +228,8 @@ class TestRunSweep:
         cell = spec.cells()[0]
         records = (
             SweepRecord(cell=cell, replicate=0, seed=5, gamma=0.25, gamma_fit_error=0.5,
-                        heaps_zeta=0.75, lrc_verdict=True, acf_points=30, error=None),
+                        gamma_fit_points=28, heaps_zeta=0.75, lrc_verdict=True, acf_points=30,
+                        error=None),
             SweepRecord(cell=cell, replicate=1, seed=6, lrc_verdict=False, error=""),
         )
         aggregates = (CellAggregate(cell=cell, replicates=2, mean_gamma=0.25, sd_gamma=None,
@@ -236,14 +237,31 @@ class TestRunSweep:
         write_sweep_result(SweepResult(spec=spec, records=records, aggregates=aggregates), tmp_path)
         cell_cols = "alpha" if model == "simon" else "a,b"
         assert (tmp_path / "records.csv").read_text() == (
-            f"{cell_cols},replicate,seed,gamma,gamma_fit_error,heaps_zeta,lrc_verdict,acf_points,error\n"
-            f"{cell_text},0,5,0.25,0.5,0.75,true,30,\n"
-            f"{cell_text},1,6,,,,false,,\n"
+            f"{cell_cols},replicate,seed,gamma,gamma_fit_error,gamma_fit_points,heaps_zeta,lrc_verdict,"
+            "acf_points,error\n"
+            f"{cell_text},0,5,0.25,0.5,28,0.75,true,30,\n"
+            f"{cell_text},1,6,,,,,false,,\n"
         )
         assert (tmp_path / "aggregates.csv").read_text() == (
             f"{cell_cols},replicates,mean_gamma,sd_gamma,lrc_fraction,mean_fit_error,pooled_fit_error\n"
             f"{cell_text},2,0.25,,0.5,,1.5\n"
         )
+
+    def test_pooled_fit_error_counts_fitted_points(self):
+        # Each run's error is sqrt(SSE) / (its fitted points); the runs leave
+        # out different shares of their ACF points, so pooling over the ACF
+        # point counts would give another value.
+        cell = (0.68, 0.8)
+        records = [
+            SweepRecord(cell=cell, replicate=0, seed=1, gamma=0.2, gamma_fit_error=0.01,
+                        gamma_fit_points=20, lrc_verdict=True, acf_points=50),
+            SweepRecord(cell=cell, replicate=1, seed=2, gamma=0.3, gamma_fit_error=0.02,
+                        gamma_fit_points=45, lrc_verdict=True, acf_points=50),
+        ]
+        agg = harness._aggregate(cell, records)
+        sse = (0.01 * 20) ** 2 + (0.02 * 45) ** 2
+        assert agg.pooled_fit_error == pytest.approx(np.sqrt(sse) / 65, rel=1e-12)
+        assert agg.mean_fit_error == pytest.approx(0.015, rel=1e-12)
 
     def test_error_column_round_trips_through_csv_reader(self, tmp_path):
         spec = SweepSpec(**TINY_SWEEP)
@@ -449,6 +467,49 @@ class TestCli:
         meta = json.loads((tmp_path / "shuffled.txt.meta.json").read_text())
         assert list(meta) == ["model", "params", "seed", "length", "final_vocab"]
         assert meta["final_vocab"] == 5
+
+    @pytest.mark.parametrize("argv, degenerate", [
+        (["generate", "--model", "simon", "--alpha", "0.3", "--length", "3000"], False),
+        (["generate", "--model", "py", "--a", "0.5", "--b", "1", "--length", "3000"], False),
+        (["generate", "--model", "py", "--a", "0", "--b", "0", "--length", "3000"], True),
+        (["generate", "--model", "conjunct", "--a", "0.68", "--b", "0.8", "--length", "3000"], False),
+        (["generate", "--model", "conjunct", "--a", "0", "--b", "0", "--length", "3000"], True),
+        (["generate", "--model", "zipf", "--vocab", "400", "--exponent", "1.1", "--length", "3000"], False),
+        (["generate", "--model", "bigram", "--corpus", "CORPUS", "--length", "3000"], False),
+        (["shuffle", "--input", "CORPUS"], False),
+    ])
+    def test_sidecar_counts_distinct_tokens(self, tmp_path, argv, degenerate):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("".join(f"t{i * i % 101}\n" for i in range(2000)))
+        out = tmp_path / "out.txt"
+        argv = [str(corpus) if a == "CORPUS" else a for a in argv]
+        assert cli.main([*argv, "--seed", "7", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        meta = json.loads((tmp_path / "out.txt.meta.json").read_text())
+        keys = ["model", "params", "seed", "length", "final_vocab"]
+        assert list(meta) == keys + ["degenerate"] * degenerate
+        assert meta["final_vocab"] == len(set(lines))
+        assert meta["length"] == len(lines)
+        if degenerate:
+            assert meta["degenerate"] is True and meta["final_vocab"] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--model", "simon", "--alpha", "0.3", "--length", "500"],
+        ["shuffle", "--input", "SRC"],
+    ])
+    def test_sequence_written_through_module_writer(self, tmp_path, monkeypatch, argv):
+        # Tracing wraps harness.write_token_file by name, so the sequence
+        # writer must look it up on the module each time it runs.
+        src = tmp_path / "src.txt"
+        src.write_text("a\nb\na\nc\n")
+        written = []
+        real = harness.write_token_file
+        monkeypatch.setattr(harness, "write_token_file", lambda seq, path: written.append(path) or real(seq, path))
+        out = tmp_path / "out.txt"
+        argv = [str(src) if a == "SRC" else a for a in argv]
+        assert cli.main([*argv, "--seed", "3", "--out", str(out)]) == 0
+        assert written == [str(out)]
+        assert out.exists()
 
     def test_chat_extract(self, tmp_path):
         sample = Path(__file__).parent / "data" / "sample.cha"
