@@ -1,15 +1,17 @@
 """Seeded generative processes over an unbounded symbol vocabulary.
 
-Three incremental models share one copy-pointer mechanism: every element
-after the first is either new or a copy of an earlier position. The
+Three incremental models share one copy mechanism: every element after
+the first is either new or a copy of an earlier position. The
 constant-innovation / uniform-reuse model ("rich get richer") and the
 conjunct model copy a uniformly random earlier position and differ only
 in their innovation rule (a constant rate, or the (a, b) rate); the
 two-parameter (a, b) model reuses type i with weight counts[i] - a,
-which it draws as a copy of a first or a later occurrence. Three
-reference generators round out the set: an i.i.d. sampler with an exact
-power-law rank distribution, a first-order Markov resampler of a corpus,
-and a word-level shuffler.
+which it draws as a copy of a first or a later occurrence. The bulk
+generators write their ids one block of positions at a time, as soon as
+the block's draws are in; no per-position pointer array outlives its
+block. Three reference generators round out the set: an i.i.d. sampler
+with an exact power-law rank distribution, a first-order Markov resampler
+of a corpus, and a word-level shuffler.
 
 All randomness comes from numpy's PCG64 generator seeded explicitly, so a
 (parameters, seed) pair reproduces the same sequence on any platform.
@@ -37,7 +39,8 @@ class GeneratorState:
     type's first occurrence weighs 1 - a and each later one weighs 1, so
     a reuse picks a uniform type or a uniform entry of `later` (see
     `pitman_yor_next`). The shared starting point is one type with one
-    occurrence (t = 1).
+    occurrence (t = 1). The bulk `generate_pitman_yor` builds the same
+    list as its `later_ids` array, one block of ids at a time.
     """
 
     t: int
@@ -183,10 +186,11 @@ def conjunct_next(past: Sequence[int], a: float, b: float, rng: np.random.Genera
 
 
 # ---------------------------------------------------------------------------
-# Bulk generators. Each builds a copy-pointer forest over the positions
-# (a new element points at itself, a reused one at the earlier position it
-# copies) and resolves it in numpy; only the (a, b) innovation decisions,
-# which depend on the vocabulary so far, run as a scalar loop.
+# Bulk generators. Each writes its ids one block of positions at a time, as
+# soon as the block's random draws are in: a copy of an earlier block takes
+# that block's id in one gather, an innovation the next id, and a copy
+# inside the block follows its chain there. Only the (a, b) innovation
+# decisions, which depend on the vocabulary so far, run as a scalar loop.
 # ---------------------------------------------------------------------------
 
 
@@ -196,8 +200,9 @@ def _require(params: ModelParams, model: str) -> None:
 
 
 def _pointer_dtype(m: int) -> type:
-    """Integer type of the copy pointers over m positions: int32 while every
-    position fits, which halves the pointer arrays."""
+    """Integer type of the whole-length index arrays over m positions (the
+    ids of Pitman-Yor's later occurrences): int32 while every position
+    fits, which halves them."""
     return np.int32 if m < 2**31 else np.int64
 
 
@@ -234,36 +239,29 @@ def _eta_innovations(blocks: Iterable[np.ndarray], a: float, b: float) -> np.nda
     return np.array(steps, dtype=np.int64)
 
 
-def _resolve(parent: np.ndarray) -> TokenSequence:
-    """Token ids of a copy-pointer forest; overwrites `parent`.
+def _finish_block(block: np.ndarray, copies: np.ndarray, src: np.ndarray, fresh: np.ndarray, k: int) -> int:
+    """Complete a block of ids in place; returns the vocabulary after it.
 
-    parent[p] is the earlier position that position p copies; position 0
-    and every innovation point at themselves. The positions are resolved
-    one block at a time, in order: every earlier pointer already names its
-    root, so pointer doubling inside the block finds each root in a few
-    rounds. A root's id is its rank among the roots, so ids are dense and
-    in first-occurrence order; both properties are checked on the result.
-    Apart from `parent` and the ids, only blocks are allocated."""
-    tokens = np.empty(parent.size, dtype=np.int64)
-    k = 0  # roots before the block
-    for lo, hi in _spans(0, parent.size):
-        here = np.arange(lo, hi)
-        block = parent[lo:hi]
-        assert np.all(block <= here), "a copy must point at an earlier position"
-        is_root = block == here
-        while True:
-            hop = parent[block]
-            if np.array_equal(hop, block):
-                break
-            block[:] = hop
-        tokens[np.flatnonzero(is_root) + lo] = np.arange(k, k + np.count_nonzero(is_root))
-        ids = tokens[block]
-        issued = np.cumsum(is_root) + (k - 1)  # highest id issued up to each position
-        seen = np.maximum(np.maximum.accumulate(ids), k - 1)
-        assert np.array_equal(seen, issued), "ids must follow first occurrence"
-        tokens[lo:hi] = ids
-        k = int(issued[-1]) + 1
-    return TokenSequence._adopt(tokens)
+    `block` already holds the id of every offset that copies an earlier
+    block. The innovations, at the sorted offsets `fresh`, take the next
+    ids k, k + 1, ...; each offset in `copies` copies the earlier offset
+    `src` of the same block. Pointer doubling finds the end of each chain
+    of such copies in a few rounds. Checks that every copy points back and
+    that ids follow first occurrence."""
+    assert np.all(src < copies), "a copy must point at an earlier position"
+    block[fresh] = np.arange(k, k + fresh.size)
+    ptr = np.arange(block.size)
+    ptr[copies] = end = src
+    while True:
+        hop = ptr[end]
+        if np.array_equal(hop, end):
+            break
+        ptr[copies] = end = hop
+    block[copies] = block[end]
+    # the highest id issued up to each offset
+    issued = np.repeat(np.arange(k - 1, k + fresh.size), np.diff(np.concatenate(([0], fresh, [block.size]))))
+    assert np.all(block <= issued), "ids must follow first occurrence"
+    return k + fresh.size
 
 
 def _generate_uniform_copy(
@@ -275,13 +273,21 @@ def _generate_uniform_copy(
     m = params.length
     rng = _seeded_rng(params.seed)
     new = innovations(_uniform_blocks(rng, m - 1)) + 1
-    parent = np.empty(m, dtype=_pointer_dtype(m))
-    parent[0] = 0
+    tokens = np.empty(m, dtype=np.int64)
+    tokens[0] = 0
+    k = 1  # ids issued before the block
     for lo, hi in _spans(1, m):
-        parent[lo:hi] = rng.integers(0, np.arange(lo, hi))
-    parent[new] = new
-    del new
-    return _resolve(parent)
+        tgt = rng.integers(0, np.arange(lo, hi))
+        i, j = np.searchsorted(new, (lo, hi))
+        fresh = new[i:j] - lo
+        tgt[fresh] = 0  # an innovation copies nothing
+        block = tokens[lo:hi]
+        # right for every copy of an earlier block; a target inside the
+        # block is clipped, and its chain followed below
+        np.take(tokens[:lo], tgt, out=block, mode="clip")
+        copies = np.flatnonzero(tgt >= lo)
+        k = _finish_block(block, copies, tgt[copies] - lo, fresh, k)
+    return TokenSequence._adopt(tokens)
 
 
 def generate_simon(params: ModelParams) -> TokenSequence:
@@ -301,6 +307,40 @@ def generate_simon(params: ModelParams) -> TokenSequence:
     return _generate_uniform_copy(params, innovations)
 
 
+def _pitman_yor_block(
+    block: np.ndarray, x: np.ndarray, lo: int, k: int, fresh: np.ndarray, a: float, later_ids: np.ndarray, n_later: int
+) -> int:
+    """Write one block of Pitman-Yor ids in place: steps lo, lo + 1, ...
+    emit the positions lo + 1, lo + 2, ... from the reuse uniforms `x`,
+    which this overwrites. Before the block come k types and n_later later
+    occurrences, whose ids lead `later_ids`; the block's roots are at the
+    offsets `fresh`. Appends the block's later occurrences to `later_ids`
+    and returns their new count."""
+    is_new = np.zeros(block.size, dtype=bool)
+    is_new[fresh] = True
+    # the vocabulary before each step
+    kb = np.repeat(np.arange(k, k + fresh.size + 1), np.diff(np.concatenate(([0], fresh + 1, [block.size]))))
+    t = np.arange(lo + 1, lo + 1 + block.size)
+    x *= t - a * kb  # the reuse draw of each step
+    first_w = kb * (1.0 - a)
+    first = (x < first_w) | (t == kb)
+    # a first-occurrence reuse takes its type's id; every other step reads
+    # a later slot, clipped into range, and a root or a slot inside the
+    # block then overwrites what it read
+    at = np.flatnonzero(first)
+    first_ids = np.minimum(x[at] / (1.0 - a), kb[at] - 1).astype(np.int64)
+    x -= first_w
+    t -= kb + 1
+    slot = np.minimum(x, t, out=x).astype(np.int64)
+    block[:] = later_ids.take(slot, mode="clip")
+    block[at] = first_ids
+    repeats = np.flatnonzero(~is_new)  # offsets of the block's later occurrences
+    inside = np.flatnonzero((slot >= n_later) & ~(first | is_new))
+    _finish_block(block, inside, repeats[slot[inside] - n_later], fresh, k)
+    later_ids[n_later : n_later + repeats.size] = block[repeats]
+    return n_later + repeats.size
+
+
 def generate_pitman_yor(params: ModelParams) -> TokenSequence:
     """Two-parameter model: innovation probability (a*K + b) / (t + b) and
     reuse of type i with probability (counts[i] - a) / (t + b). A reuse
@@ -309,41 +349,26 @@ def generate_pitman_yor(params: ModelParams) -> TokenSequence:
     occurrence number floor(x - K(1 - a)) in position order, as in
     `pitman_yor_next`.
 
-    The split runs one block of steps at a time: step s (emitting position
-    s + 1) sees the roots and later occurrences at positions up to s, all
-    of which are known once the innovation steps are."""
+    The split runs one block of steps at a time: step s emits position
+    s + 1 and sees the positions up to s. A first occurrence's id is its
+    type's rank, so it needs no lookup. `later_ids` holds the ids of the
+    later occurrences before the block, as `GeneratorState.later` does; a
+    later occurrence inside the block is a copy to follow there."""
     _require(params, "pitman_yor")
     a, b = params.a, params.b
     m = params.length
     rng = _seeded_rng(params.seed)
-    dtype = _pointer_dtype(m)
-    roots = np.concatenate(([0], _eta_innovations(_uniform_blocks(rng, m - 1), a, b) + 1)).astype(dtype)
-    is_root = np.zeros(m, dtype=bool)
-    is_root[roots] = True
-    later = np.empty(m - roots.size, dtype=dtype)  # the positions that are not roots
-    parent = np.empty(m, dtype=dtype)
-    parent[0] = 0
-    k = n_later = 0  # roots and later occurrences before the block
+    roots = np.concatenate(([0], _eta_innovations(_uniform_blocks(rng, m - 1), a, b) + 1))
+    # one spare entry keeps the gather of a block valid when every element is new
+    later_ids = np.empty(m - roots.size + 1, dtype=_pointer_dtype(m))
+    tokens = np.empty(m, dtype=np.int64)
+    tokens[0] = 0
+    n_later = 0  # later occurrences before the block
     for lo, hi in _spans(0, m - 1):
-        u = rng.random(hi - lo)
-        block_root = is_root[lo:hi]
-        block_later = np.flatnonzero(~block_root) + lo
-        later[n_later : n_later + block_later.size] = block_later
-        n_later += block_later.size
-        kb = k + np.cumsum(block_root)  # vocabulary before each step
-        k = int(kb[-1])
-        t = np.arange(lo + 1, hi + 1)
-        x = u * (t - a * kb)
-        first_w = kb * (1.0 - a)
-        first = (x < first_w) | (t == kb)
-        rest = ~first
-        tail = parent[lo + 1 : hi + 1]
-        tail[first] = roots[np.minimum(x[first] / (1.0 - a), kb[first] - 1).astype(np.int64)]
-        tail[rest] = later[np.minimum(x[rest] - first_w[rest], (t - kb - 1)[rest]).astype(np.int64)]
-    del later, is_root
-    parent[roots] = roots
-    del roots
-    return _resolve(parent)
+        k, k_end = np.searchsorted(roots, (lo, hi), side="right")
+        block, fresh = tokens[lo + 1 : hi + 1], roots[k:k_end] - (lo + 1)
+        n_later = _pitman_yor_block(block, rng.random(hi - lo), lo, k, fresh, a, later_ids, n_later)
+    return TokenSequence._adopt(tokens)
 
 
 def generate_conjunct(params: ModelParams) -> TokenSequence:

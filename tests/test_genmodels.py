@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -5,13 +6,13 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from lrclab import cli
+from lrclab import cli, genmodels
 from lrclab.genmodels import (
     _eta_innovations,
     _pointer_dtype,
+    _finish_block,
     _relabel_first_occurrence,
     _resampled,
-    _resolve,
     GeneratorState,
     ModelParams,
     conjunct_next,
@@ -255,6 +256,10 @@ class TestBulkMatchesKernels:
         ("conjunct", {"a": 0.68, "b": 0.8}),
         ("pitman_yor", {"a": 0.68, "b": 0.8}),
         ("pitman_yor", {"a": 0.0, "b": 0.8}),
+        ("conjunct", {"a": 0.0, "b": 0.0}),
+        ("conjunct", {"a": 0.68, "b": 0.0}),
+        ("pitman_yor", {"a": 0.0, "b": 0.0}),
+        ("pitman_yor", {"a": 0.68, "b": 0.0}),
     ])
     def test_across_draw_blocks(self, model, params):
         # 70000 elements cross the edges of the bulk generators' draw
@@ -279,21 +284,81 @@ class TestBulkMatchesKernels:
                     k += 1
             assert _eta_innovations(blocks, a, b).tolist() == steps
 
-    def test_resolve_rejects_forward_pointer(self):
-        with pytest.raises(AssertionError):
-            _resolve(np.array([0, 2, 2, 1]))
+    def test_deep_chains_in_first_block(self):
+        # at alpha 0.01 nearly every element of the first block copies
+        # another inside it, so chains there run deeper than one doubling
+        # round resolves
+        p = ModelParams(model="simon", length=2**14 + 5, seed=3, alpha=0.01)
+        rng = np.random.default_rng(p.seed)
+        new = rng.random(p.length - 1) < p.alpha
+        pos = rng.integers(0, np.arange(1, p.length)).tolist()
+        depth = [0]
+        for s in range(2**14 - 1):
+            depth.append(0 if new[s] or pos[s] == 0 else depth[pos[s]] + 1)
+        assert max(depth) > 2
+        replayed = _replay_uniform_copy(lambda past, rng, k: simon_next(past, p.alpha, rng, k=k), p)
+        assert generate_simon(p).tokens.tolist() == replayed
 
-    def test_resolve_pointer_widths_agree(self):
-        parent = np.array([0, 0, 1, 3, 2, 3, 5, 0, 8])
-        expected = [0, 0, 0, 1, 0, 1, 1, 0, 2]
-        assert _resolve(parent.astype(np.int32)).tokens.tolist() == expected
-        assert _resolve(parent.astype(np.int64)).tokens.tolist() == expected
+    def test_finish_block_rejects_forward_pointer(self):
+        block = np.zeros(4, dtype=np.int64)
+        with pytest.raises(AssertionError, match="earlier position"):
+            _finish_block(block, np.array([1, 3]), np.array([2, 1]), np.array([], dtype=np.int64), 1)
+
+    def test_finish_block_chains(self):
+        # offsets 1, 3 and 5 are innovations; 2 -> 1, 4 -> 2 -> 1 and
+        # 6 -> 4 -> 2 -> 1 copy inside the block, 0 and 7 an earlier block
+        for dtype in (np.int32, np.int64):
+            block = np.array([0, -1, -1, -1, -1, -1, -1, 1], dtype=np.int64)
+            copies, src = np.array([2, 4, 6]), np.array([1, 2, 4], dtype=dtype)
+            assert _finish_block(block, copies, src, np.array([1, 3, 5]), 1) == 4
+            assert block.tolist() == [0, 1, 1, 2, 1, 3, 1, 1]
+
+    def test_finish_block_rejects_unissued_id(self):
+        block = np.array([0, 5], dtype=np.int64)
+        none = np.array([], dtype=np.int64)
+        with pytest.raises(AssertionError, match="first occurrence"):
+            _finish_block(block, none, none, none, 1)
+
+    def test_later_id_widths_agree(self, monkeypatch):
+        cells = [ModelParams(model="pitman_yor", length=40_000, seed=2, a=a, b=b) for a, b in AB_CELLS]
+        narrow = [generate_pitman_yor(p).tokens for p in cells]
+        monkeypatch.setattr(genmodels, "_pointer_dtype", lambda m: np.int64)
+        for p, tokens in zip(cells, narrow):
+            assert np.array_equal(generate_pitman_yor(p).tokens, tokens)
 
     def test_pointer_dtype_rule(self):
         assert _pointer_dtype(1) is np.int32
         assert _pointer_dtype(2**31 - 1) is np.int32
         assert _pointer_dtype(2**31) is np.int64
         assert _pointer_dtype(2**40) is np.int64
+
+
+PINNED_LENGTHS = (1, 2, 17, 2**14, 2**14 + 1, 2**14 + 2, 70_000)
+PINNED_SEEDS = (0, 1)
+# sha256 over tokens.tobytes() of every (length, seed) pair above, in order
+PINNED_DIGESTS = [
+    ("simon", {"alpha": 0.1}, "eabce82ff21bcdfec331c03e7e3fd2d1b65607ec912e9a4d413db3ea04f6418a"),
+    ("simon", {"alpha": 0.4}, "64fec19fc7a9f5b29cd9d149e1185aec473b2144b0723a818ed425fd02979070"),
+    ("conjunct", {"a": 0.0, "b": 0.0}, "58735875de1a194f46411d9d43f55e53146f3f903f562b49c2aa2c86098af5f7"),
+    ("conjunct", {"a": 0.0, "b": 0.8}, "e2e7ef65c833afc5131c38c0f4725c231bb7ef56fbdbdc3e67294eb31b959fa8"),
+    ("conjunct", {"a": 0.68, "b": 0.0}, "7dbc270082029ba9e463ef459ada7437d1e3f1d1b735cfe76eb896a160054400"),
+    ("conjunct", {"a": 0.68, "b": 0.8}, "718a08f6e7d2e82977ccf36ddf2f4fbc7958d91868fad50febea61f7cf41bfe6"),
+    ("pitman_yor", {"a": 0.0, "b": 0.0}, "58735875de1a194f46411d9d43f55e53146f3f903f562b49c2aa2c86098af5f7"),
+    ("pitman_yor", {"a": 0.0, "b": 0.8}, "4be610f953b0b302efa08a98dc08720206954e3f4ed34f2f93fb480271d124bc"),
+    ("pitman_yor", {"a": 0.68, "b": 0.0}, "2f8d3a0ce9f32a00f86a6dbabc616b3cad63aae24a64176efe8bf6c31b299e14"),
+    ("pitman_yor", {"a": 0.68, "b": 0.8}, "c78b9273f6ad0e65c17f90849896d783e907e8f53d2197992f955f3902b01734"),
+]
+
+
+@pytest.mark.parametrize("model,params,digest", PINNED_DIGESTS)
+def test_generated_bytes_pinned(model, params, digest):
+    # the random stream and its mapping to ids are part of the contract:
+    # a (parameters, seed) pair gives the same bytes in every release
+    h = hashlib.sha256()
+    for length in PINNED_LENGTHS:
+        for seed in PINNED_SEEDS:
+            h.update(generate(ModelParams(model=model, length=length, seed=seed, **params)).tokens.tobytes())
+    assert h.hexdigest() == digest
 
 
 class TestBlockDraws:

@@ -2,16 +2,19 @@
 
 The corpus path keeps token ids in flat buffers and holds Python strings
 for one block of text at a time. The generators draw their random numbers
-a block at a time, keep copy pointers as int32 below 2**31 elements, and
-hand their finished int64 ids to TokenSequence without a copy. Measured at
-2e5 tokens (CPython 3.11, numpy 2.4), in bytes a token, with the figure
-before these changes in parentheses:
+a block at a time, write each block of int64 ids as soon as its draws are
+in, keep no whole-length array but the ids, the innovation positions and
+Pitman-Yor's int32 later-occurrence ids, and hand their ids to
+TokenSequence without a copy. Measured at 2e5 tokens (CPython 3.11, numpy
+2.4), in bytes a token, with the figure before these changes in
+parentheses:
 
     read_tokens 29 (93 while it held one Python object per token)
     generate_bigram 30 (119 with one object per token, then 37)
-    generate: Simon alpha 0.1 16 (43), Simon alpha 0.4 16 (37),
-        conjunct (0.68, 0.8) 16 (42), Pitman-Yor (0.68, 0.8) and
-        (0, 0.8) 18 (74)
+    generate: Simon alpha 0.1 13.3 (43, then 16.4), Simon alpha 0.4 15.5
+        (37, then 16.4), conjunct (0.68, 0.8) 12.7 (42, then 16.4),
+        Pitman-Yor (0.68, 0.8) and (0, 0.8) 20.1 (74, then 18.2: its
+        block temporaries now set the peak, and fall to 13.6 at 1e6)
     shuffle 19 (39)
     generate_zipf_iid, 50000 ranks, 16 (32)
     type_stats: Simon alpha 0.1 4.0 (9.6), Pitman-Yor (0.68, 0.8) 0.9
