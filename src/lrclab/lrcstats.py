@@ -27,6 +27,7 @@ from .seqcore import (
     TokenSequence,
     TypeTokenCurve,
     _centred,
+    _spans,
     log_grid,
 )
 
@@ -37,9 +38,14 @@ MIN_CURVE_LENGTH = 200
 
 def _acf(series: Sequence[float] | np.ndarray) -> Callable[[int], float]:
     """C(s) of a series as a function of the offset s, the series centred
-    once; C(0) is 1.0. A constant series raises DataError here, before any
-    offset is evaluated."""
-    devs, _, variance = _centred(series)
+    once; C(0) is 1.0. A degenerate series raises DataError here, before
+    any offset is evaluated: a constant one before it is centred, so that
+    no float copy of it is made and an inexact float mean cannot leave it a
+    tiny variance; one whose variance underflows to zero after."""
+    arr = np.asarray(series)
+    if arr.size and arr.min() == arr.max():
+        raise DataError("degenerate series")
+    devs, _, variance = _centred(arr)
     if variance <= 0.0:
         raise DataError("degenerate series")
     m = devs.size
@@ -53,7 +59,9 @@ def autocorrelation(series: Sequence[float] | np.ndarray, s: int) -> float:
 
     with mu and sigma the mean and population standard deviation of the whole
     series, from the same centring as `moments`. C(0) is 1.0 by definition.
-    A constant series raises DataError("degenerate series").
+    A constant series raises DataError("degenerate series"), even where its
+    inexact float mean would leave a tiny non-zero variance, and so does a
+    series whose variance underflows to zero.
     """
     if not 0 <= s < len(series):
         raise DataError("offset out of range")
@@ -96,7 +104,12 @@ def select_rare_set(seq: TokenSequence, n: int = DEFAULT_RARITY) -> np.ndarray:
 def extract_intervals(seq: TokenSequence, rare: np.ndarray | Iterable[int]) -> IntervalSequence:
     """Gaps between successive occurrences of any rare-set token (an id array
     or any iterable of ints), merged over the whole set. The interval count
-    is the occurrence count minus one."""
+    is the occurrence count minus one.
+
+    The rare positions are the one whole-length int64 array: they are turned
+    into gaps in place, a block at a time from the front, each block reading
+    the still-unchanged first position of the next, and handed to the
+    IntervalSequence without a copy."""
     rare_ids = np.asarray(rare, np.int64) if isinstance(rare, np.ndarray) else np.fromiter(rare, np.int64)
     if rare_ids.size == 0:
         raise DataError("insufficient occurrences")
@@ -105,10 +118,12 @@ def extract_intervals(seq: TokenSequence, rare: np.ndarray | Iterable[int]) -> I
     top = int(seq.type_stats[0][-1])
     mask = np.zeros(top + 1, dtype=bool)
     mask[rare_ids[rare_ids <= top]] = True
-    positions = np.flatnonzero(mask[seq.tokens])
-    if positions.size < 2:
+    gaps = np.flatnonzero(mask[seq.tokens])
+    if gaps.size < 2:
         raise DataError("insufficient occurrences")
-    return IntervalSequence(np.diff(positions))
+    for lo, hi in _spans(0, gaps.size - 1):
+        np.subtract(gaps[lo + 1 : hi + 1], gaps[lo:hi], out=gaps[lo:hi])
+    return IntervalSequence._adopt(gaps[:-1])
 
 
 def acf_curve(ints: IntervalSequence) -> AcfCurve:
@@ -156,7 +171,7 @@ def fit_power_law(
 def rank_frequency(seq: TokenSequence) -> RankFrequency:
     """Exhaustive type frequencies in descending order. Only the frequencies
     are kept, so the order among tied types cannot show."""
-    return RankFrequency(np.sort(seq.type_stats[1])[::-1])
+    return RankFrequency._adopt(np.sort(seq.type_stats[1])[::-1])
 
 
 def fit_heaps(curve: TypeTokenCurve) -> PowerLawFit:

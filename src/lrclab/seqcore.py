@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO, TypeVar
 
 import numpy as np
 
@@ -81,6 +81,9 @@ def label_counts(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return freqs, first
 
 
+_F = TypeVar("_F", bound="_Frozen")
+
+
 class _Frozen:
     """Equality and length of the frozen array types below: equal when of
     the same type with every field equal, arrays by content; the length is
@@ -98,6 +101,19 @@ class _Frozen:
     def __len__(self) -> int:
         return len(getattr(self, fields(self)[0].name))
 
+    @classmethod
+    def _adopt(cls: type[_F], arr: np.ndarray, **rest: object) -> _F:
+        """An instance over an int64 array that the caller hands over as its
+        first field, with `rest` its other fields by name: the array is
+        frozen in place, not copied, so the caller must not keep a writable
+        reference to it. `_own` runs the constructor's checks on it."""
+        assert arr.dtype == np.int64, "only an int64 array can be adopted"
+        obj = object.__new__(cls)
+        for name, value in rest.items():
+            object.__setattr__(obj, name, value)
+        obj._own(arr)
+        return obj
+
 
 @dataclass(frozen=True, eq=False)
 class TokenSequence(_Frozen):
@@ -111,17 +127,6 @@ class TokenSequence(_Frozen):
 
     def __post_init__(self) -> None:
         self._own(np.array(self.tokens, dtype=np.int64))
-
-    @classmethod
-    def _adopt(cls, tokens: np.ndarray, symbols: Sequence[str] | None = None) -> "TokenSequence":
-        """A sequence over an int64 array that the caller hands over: the
-        array is frozen in place, not copied, so the caller must not keep a
-        writable reference to it."""
-        assert tokens.dtype == np.int64, "only an int64 array can be adopted"
-        seq = object.__new__(cls)
-        object.__setattr__(seq, "symbols", symbols)
-        seq._own(tokens)
-        return seq
 
     def _own(self, arr: np.ndarray) -> None:
         if arr.ndim != 1 or arr.size == 0:
@@ -145,10 +150,14 @@ class TokenSequence(_Frozen):
         """(ids, freqs, first) of the types that occur, in ascending id order:
         each id's token count and first position. Equal to what
         np.unique(tokens, return_index=True) and bincount give, for any ids,
-        but computed in O(M) without sorting the tokens."""
+        but computed in O(M) without sorting the tokens. When every label
+        0..max occurs, as in every sequence lrclab makes, the per-label
+        arrays are returned as they are, not gathered into copies."""
         freqs, first = label_counts(self.tokens)
         ids = np.flatnonzero(freqs)
-        return _freeze(ids), _freeze(freqs[ids]), _freeze(first[ids])
+        if ids.size < freqs.size:
+            freqs, first = freqs[ids], first[ids]
+        return _freeze(ids), _freeze(freqs), _freeze(first)
 
     def surface(self, token_id: int) -> str:
         if self.symbols is not None:
@@ -185,12 +194,16 @@ class IntervalSequence(_Frozen):
     The count of intervals is one less than the number of rare-token
     occurrences. The gaps are the only field: their mean and variance are
     computed where they are needed, when the autocorrelation centres them.
+    The constructor copies the caller's array; `extract_intervals` hands
+    its own gap array over through `_adopt`, uncopied.
     """
 
     intervals: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.intervals, dtype=np.int64)
+        self._own(np.array(self.intervals, dtype=np.int64))
+
+    def _own(self, arr: np.ndarray) -> None:
         if arr.ndim != 1 or arr.size == 0:
             raise DataError("empty interval sequence")
         if arr.min() < 1:
@@ -255,17 +268,21 @@ class PowerLawFit:
 
 @dataclass(frozen=True, eq=False)
 class RankFrequency(_Frozen):
-    """Type frequencies in descending order (int64); frequencies[i] has rank i + 1."""
+    """Type frequencies in descending order (int64); frequencies[i] has rank
+    i + 1. The constructor copies the caller's array; `rank_frequency` hands
+    its own sorted array over through `_adopt`, uncopied."""
 
     frequencies: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.frequencies, dtype=np.int64)
+        self._own(np.array(self.frequencies, dtype=np.int64))
+
+    def _own(self, arr: np.ndarray) -> None:
         if arr.ndim != 1 or arr.size == 0:
             raise DataError("empty rank-frequency table")
         if arr.min() < 1:
             raise DataError("frequencies must be positive")
-        if np.any(np.diff(arr) > 0):
+        if np.any(arr[1:] > arr[:-1]):
             raise DataError("frequencies must be non-increasing")
         object.__setattr__(self, "frequencies", _freeze(arr))
 

@@ -114,6 +114,25 @@ class TestAutocorrelation:
         with pytest.raises(DataError, match="degenerate series"):
             autocorrelation([2.0, 2.0, 2.0], 1)
 
+    @pytest.mark.parametrize("series", [
+        [0.1] * 3,  # the float mean is inexact, so the variance is 1.9e-34, not 0
+        [0.0, 1e-200],  # not constant, but the variance underflows to 0
+    ], ids=["inexact_mean", "variance_underflow"])
+    def test_degenerate_float_series(self, series):
+        with pytest.raises(DataError, match="degenerate series"):
+            autocorrelation(series, 1)
+
+    @pytest.mark.parametrize("series,offsets,pinned", [
+        ([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0, 5.0, 3.0], [1, 2, 3],
+         [-0.16008905079943328, -0.03916211293260473, 0.3921415560759822]),
+        ([0.1, 0.1, 0.1, 0.2], [1, 2], [-0.11111111111111119, -0.33333333333333337]),
+        (np.random.default_rng(12).integers(1, 50, size=1000), [1, 5, 10],
+         [-0.011079462637304922, -0.002656085693905504, -0.01062501739877631]),
+    ], ids=["floats", "nearly_constant", "int_gaps"])
+    def test_values_pinned(self, series, offsets, pinned):
+        # bit for bit the values of the code before the constancy check
+        assert [autocorrelation(series, s) for s in offsets] == pinned
+
     def test_offset_out_of_range(self):
         with pytest.raises(DataError, match="offset out of range"):
             autocorrelation([1.0, 2.0], 2)
@@ -210,6 +229,66 @@ class TestExtractIntervals:
         assert np.array_equal(rebuilt, positions[1:])
         assert extract_intervals(seq, [1, 0]) == ints
         assert extract_intervals(seq, np.array([0, 1])) == ints
+
+
+def gaps_oracle(tokens, rare):
+    return np.diff(np.flatnonzero(np.isin(tokens, rare)))
+
+
+def with_rare_occurrences(k, rng):
+    """Tokens of length 3k over the common ids 0 and 2, with the rare id 1
+    placed at k random positions."""
+    tokens = rng.choice(np.array([0, 2]), size=3 * k)
+    tokens[rng.choice(3 * k, size=k, replace=False)] = 1
+    return tokens
+
+
+class TestExtractIntervalsInPlace:
+    """The gaps are made in place, one block of 2**14 at a time: compare them
+    with np.diff of the rare positions where the blocks end at an edge, one
+    before it and one past it."""
+
+    @pytest.mark.parametrize("length", [2**14 - 1, 2**14, 2**14 + 1, 2**14 + 2, 2 * 2**14 + 1])
+    def test_lengths_across_block_edges(self, length):
+        rng = np.random.default_rng(length)
+        tokens = rng.integers(0, 6, size=length)
+        for rare in ([0], [1, 4], [0, 1, 2, 3, 4]):
+            got = extract_intervals(TokenSequence(tokens), rare).intervals
+            assert np.array_equal(got, gaps_oracle(tokens, rare))
+
+    @pytest.mark.parametrize("k", [2, 2**14, 2**14 + 1, 2**14 + 2, 2 * 2**14 + 1])
+    def test_rare_occurrence_counts(self, k):
+        # k occurrences give k - 1 gaps: 2**14 + 1 fills one block exactly
+        tokens = with_rare_occurrences(k, np.random.default_rng(k))
+        got = extract_intervals(TokenSequence(tokens), [1]).intervals
+        assert got.size == k - 1
+        assert np.array_equal(got, gaps_oracle(tokens, [1]))
+
+    @pytest.mark.parametrize("length", [2, 2**14 + 1, 2 * 2**14 + 1])
+    def test_all_rare(self, length):
+        one_type = np.zeros(length, dtype=np.int64)
+        assert np.array_equal(extract_intervals(TokenSequence(one_type), [0]).intervals,
+                              np.ones(length - 1, dtype=np.int64))
+        tokens = np.random.default_rng(length).integers(0, 3, size=length)
+        got = extract_intervals(TokenSequence(tokens), [0, 1, 2]).intervals
+        assert np.array_equal(got, gaps_oracle(tokens, [0, 1, 2]))
+
+    def test_rare_id_above_the_largest(self):
+        tokens = np.random.default_rng(9).integers(0, 4, size=2**14 + 7)
+        for rare in ([1, 10**6], np.array([4, 3])):
+            got = extract_intervals(TokenSequence(tokens), rare).intervals
+            assert np.array_equal(got, gaps_oracle(tokens, rare))
+
+    def test_gaps_read_only_and_caller_array_writable(self):
+        tokens = with_rare_occurrences(2**14 + 2, np.random.default_rng(3))
+        ints = extract_intervals(TokenSequence(tokens), [1])
+        assert not ints.intervals.flags.writeable
+        with pytest.raises(ValueError):
+            ints.intervals[0] = 5
+        caller = np.array(ints.intervals)
+        copied = IntervalSequence(caller)
+        assert caller.flags.writeable and not np.shares_memory(caller, copied.intervals)
+        assert copied == ints
 
 
 class TestAcfCurve:
@@ -316,6 +395,11 @@ class TestRankFrequency:
         rank = rank_frequency(seq)
         assert rank.frequencies.tolist() == [2, 2, 1]
 
+    def test_read_only(self):
+        rank = rank_frequency(TokenSequence(np.array([2, 0, 1, 0, 2, 2])))
+        assert rank.frequencies.tolist() == [3, 2, 1]
+        assert not rank.frequencies.flags.writeable
+
     @given(st.lists(st.integers(0, 20), min_size=1, max_size=500))
     @settings(max_examples=50, deadline=None)
     def test_sums_to_m(self, ids):
@@ -350,8 +434,10 @@ class TestTypeStats:
         assert first.tolist() == [0, 1, 3]
 
     def test_frozen(self):
-        for arr in TokenSequence(np.array([4, 1, 4])).type_stats:
-            assert not arr.flags.writeable
+        # sparse labels are gathered into copies, dense ones returned as they are
+        for tokens in ([4, 1, 4], [1, 0, 1]):
+            for arr in TokenSequence(np.array(tokens)).type_stats:
+                assert not arr.flags.writeable
 
     @given(
         st.lists(st.integers(0, 40), min_size=1, max_size=500),

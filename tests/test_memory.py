@@ -17,16 +17,21 @@ parentheses:
         block temporaries now set the peak, and fall to 13.6 at 1e6)
     shuffle 19 (39)
     generate_zipf_iid, 50000 ranks, 16 (32)
-    type_stats: Simon alpha 0.1 4.0 (9.6), Pitman-Yor (0.68, 0.8) 0.9
-        (8.2), with the per-type scatters run block by block; Simon
-        alpha 0.4 stays at 16, as its 0.4 M types fill the output arrays
+    type_stats: Simon alpha 0.1 2.4 (9.6, then 4.0), Pitman-Yor (0.68,
+        0.8) 0.9 (8.2), with the per-type scatters run block by block;
+        Simon alpha 0.4 9.6 (16), as its 0.4 M types fill the three output
+        arrays, which are now the per-label arrays themselves, uncopied
+    rank_frequency, after type_stats: Simon alpha 0.4 3.6 (10.0), alpha
+        0.1 0.9 (2.5), with the sorted frequencies handed over uncopied and
+        checked for order without an int64 difference array
     select_rare_set, after type_stats: Simon alpha 0.1 1.7 (9.8),
         Pitman-Yor (0.68, 0.8) 1.5 (7.7), with the frequency histogram
         clipped at the target and the ids kept in an array, not a set
     select_rare_set, extract_intervals and acf_curve, after type_stats, of
         an all-rare series, Pitman-Yor and conjunct (0, 0), which raise
-        "degenerate series": 24 (40), with the gaps the only field of
-        IntervalSequence and the series centred once, in place"""
+        "degenerate series": 9.0 (40, then 24), the bool gather and the
+        rare positions, which become the gaps in place; the constant
+        series is rejected before a float copy of it is made"""
 
 import tracemalloc
 
@@ -35,13 +40,15 @@ import pytest
 
 from lrclab.corpusio import read_tokens
 from lrclab.genmodels import ModelParams, generate, generate_bigram, generate_zipf_iid, shuffle
-from lrclab.lrcstats import acf_curve, extract_intervals, select_rare_set
+from lrclab.lrcstats import acf_curve, extract_intervals, rank_frequency, select_rare_set
 from lrclab.seqcore import DataError
 
 TOKENS = 200_000
 GENERATOR_BOUND = 24  # bytes a token, for every generator and shuffle
 TYPE_STATS_BOUND = 6  # bytes a token, where the types are a small share
-INTERVALS_BOUND = 26  # bytes a token, where every token is rare
+MANY_TYPES_BOUND = 11  # bytes a token, type_stats of Simon alpha 0.4
+RANK_FREQUENCY_BOUND = 5  # bytes a token, rank_frequency of Simon alpha 0.4
+INTERVALS_BOUND = 10  # bytes a token, where every token is rare
 
 
 def peak_bytes_per_token(fn):
@@ -113,6 +120,18 @@ def test_type_stats(model, params):
     per_token, (_, freqs, _) = peak_bytes_per_token(lambda: seq.type_stats)
     assert int(freqs.sum()) == TOKENS
     assert per_token <= TYPE_STATS_BOUND
+
+
+def test_many_types():
+    # Simon alpha 0.4 makes a new type at 0.4 of its positions, so its
+    # per-type arrays are about as long as the sequence
+    seq = generate(ModelParams(model="simon", length=TOKENS, seed=4, alpha=0.4))
+    per_token, (_, freqs, _) = peak_bytes_per_token(lambda: seq.type_stats)
+    assert int(freqs.sum()) == TOKENS
+    assert per_token <= MANY_TYPES_BOUND
+    per_token, rank = peak_bytes_per_token(lambda: rank_frequency(seq))
+    assert int(rank.frequencies.sum()) == TOKENS
+    assert per_token <= RANK_FREQUENCY_BOUND
 
 
 @pytest.mark.parametrize("model,params", [

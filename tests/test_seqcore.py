@@ -363,6 +363,31 @@ class TestTypeValidation:
         with pytest.raises(DataError):
             RankFrequency(np.array([1, 2]))
 
+    @pytest.mark.parametrize("cls,arr,message", [
+        (IntervalSequence, [], "empty interval sequence"),
+        (IntervalSequence, [2, 0, 1], "intervals must be positive"),
+        (RankFrequency, [], "empty rank-frequency table"),
+        (RankFrequency, [3, 0], "frequencies must be positive"),
+        (RankFrequency, [3, 1, 2], "frequencies must be non-increasing"),
+    ])
+    def test_adopt_runs_the_constructor_checks(self, cls, arr, message):
+        for make in (cls, cls._adopt):
+            with pytest.raises(DataError, match=message):
+                make(np.array(arr, dtype=np.int64))
+
+    @pytest.mark.parametrize("cls", [IntervalSequence, RankFrequency])
+    def test_adopt_freezes_without_copy(self, cls):
+        arr = np.array([3, 2, 2], dtype=np.int64)
+        (held,) = vars(cls._adopt(arr)).values()
+        assert np.shares_memory(arr, held) and not held.flags.writeable
+
+    def test_rank_frequency_constructor_copies(self):
+        arr = np.array([3, 2, 2], dtype=np.int64)
+        rank = RankFrequency(arr)
+        assert arr.flags.writeable and not np.shares_memory(arr, rank.frequencies)
+        arr[0] = 9
+        assert rank.frequencies.tolist() == [3, 2, 2]
+
     def test_type_token_v_not_above_m(self):
         with pytest.raises(DataError):
             TypeTokenCurve(np.array([1, 2]), np.array([1, 3]))
