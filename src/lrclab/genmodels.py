@@ -199,6 +199,13 @@ def _require(params: ModelParams, model: str) -> None:
         raise DataError(f"expected {model} params, got {params.model}")
 
 
+def _constant(params: ModelParams) -> TokenSequence:
+    """The one sequence of the (a, b) models at a = b = 0: the innovation
+    rate (a*K + b) / (t + b) is 0 at every step, so every element is type 0
+    whatever the draws, and none is made."""
+    return TokenSequence._adopt(np.zeros(params.length, dtype=np.int64))
+
+
 def _pointer_dtype(m: int) -> type:
     """Integer type of the whole-length index arrays over m positions (the
     ids of Pitman-Yor's later occurrences): int32 while every position
@@ -355,6 +362,8 @@ def generate_pitman_yor(params: ModelParams) -> TokenSequence:
     later occurrences before the block, as `GeneratorState.later` does; a
     later occurrence inside the block is a copy to follow there."""
     _require(params, "pitman_yor")
+    if params.degenerate:
+        return _constant(params)
     a, b = params.a, params.b
     m = params.length
     rng = _seeded_rng(params.seed)
@@ -375,6 +384,8 @@ def generate_conjunct(params: ModelParams) -> TokenSequence:
     """Conjunct model: the (a, b) innovation rate eta = (a*K + b) / (t + b)
     combined with uniform reuse from the past sequence."""
     _require(params, "conjunct")
+    if params.degenerate:
+        return _constant(params)
     a, b = params.a, params.b
     return _generate_uniform_copy(params, lambda blocks: _eta_innovations(blocks, a, b))
 

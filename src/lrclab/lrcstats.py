@@ -34,6 +34,7 @@ from .seqcore import (
 DEFAULT_RARITY = 16
 SMALL_OFFSET_LIMIT = 10
 MIN_CURVE_LENGTH = 200
+_DOT_PIECE = 8192  # elements per np.dot call of the autocorrelation sums
 
 
 def _acf(series: Sequence[float] | np.ndarray) -> Callable[[int], float]:
@@ -49,7 +50,20 @@ def _acf(series: Sequence[float] | np.ndarray) -> Callable[[int], float]:
     if variance <= 0.0:
         raise DataError("degenerate series")
     m = devs.size
-    return lambda s: 1.0 if s == 0 else float(np.dot(devs[:-s], devs[s:])) / (m - s) / variance
+    return lambda s: 1.0 if s == 0 else _dot(devs[:-s], devs[s:]) / (m - s) / variance
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x . y as a front-to-back sum of np.dot over pieces of _DOT_PIECE
+    elements. OpenBLAS's x86-64 ddot splits a vector of over 10,000
+    elements across its threads, whose partial sums round differently with
+    each thread count; a piece runs on the calling thread, so the sum is
+    the same under any BLAS thread setting and starts no thread. Vectors
+    of at most one piece give the bits of a single np.dot."""
+    total = np.dot(x[:_DOT_PIECE], y[:_DOT_PIECE])
+    for lo in range(_DOT_PIECE, x.size, _DOT_PIECE):
+        total += np.dot(x[lo : lo + _DOT_PIECE], y[lo : lo + _DOT_PIECE])
+    return float(total)
 
 
 def autocorrelation(series: Sequence[float] | np.ndarray, s: int) -> float:

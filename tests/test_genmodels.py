@@ -452,13 +452,14 @@ class TestPitmanYor:
         pooled_sd = np.sqrt((np.var(k_py) + np.var(k_cj)) / 10)
         assert abs(mean_py - mean_cj) < 3 * pooled_sd
 
-    @pytest.mark.parametrize("length", [2**14 + 3, 3 * 2**14])
+    @pytest.mark.parametrize("length", [2**14 - 1, 2**14 + 1, 2**14 + 3, 3 * 2**14, 70_000])
     @pytest.mark.parametrize("a,b", AB_CELLS)
     def test_first_positions_match_conjunct(self, a, b, length):
         # a paired design: for the same (a, b, length, seed) both models draw
         # the same innovation uniforms, so every type is born at the same
-        # position, and they differ only in which earlier type a reuse takes
-        for seed in (0, 1):
+        # position, and they differ only in which earlier type a reuse takes;
+        # at (0, 0) both are constant and draw nothing
+        for seed in (0, 1, 2):
             py, cj = (
                 generate(ModelParams(model=model, length=length, seed=seed, a=a, b=b))
                 for model in ("pitman_yor", "conjunct")

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lrclab
 from lrclab.corpusio import read_tokens
 from lrclab.genmodels import ModelParams, generate, shuffle
 from lrclab.lrcstats import (
@@ -132,6 +137,14 @@ class TestAutocorrelation:
     def test_values_pinned(self, series, offsets, pinned):
         # bit for bit the values of the code before the constancy check
         assert [autocorrelation(series, s) for s in offsets] == pinned
+
+    @pytest.mark.parametrize("length", [8193, 8194, 2 * 8192 + 2, 3 * 8192 + 1])
+    def test_summed_in_pieces(self, length):
+        # the products are summed 8192 at a time: at offset 1 these lengths
+        # give exactly one piece, one element past it, and several pieces
+        series = np.random.default_rng(length).integers(1, 50, size=length).tolist()
+        for s in (1, 2, 80):
+            assert autocorrelation(series, s) == pytest.approx(acf_oracle(series, s), abs=1e-12)
 
     def test_offset_out_of_range(self):
         with pytest.raises(DataError, match="offset out of range"):
@@ -314,6 +327,30 @@ class TestAcfCurve:
         curve = acf_curve(ints)
         for s, c in zip(curve.offsets.tolist(), curve.values.tolist()):
             assert c == pytest.approx(autocorrelation(ints.intervals, s), abs=1e-12)
+
+    def test_independent_of_blas_threads(self):
+        # a series long enough for OpenBLAS to split one dot product across
+        # threads: every C(s) must have the same bits under any thread count
+        code = (
+            "import numpy as np\n"
+            "from lrclab.lrcstats import acf_curve\n"
+            "from lrclab.seqcore import IntervalSequence\n"
+            "ints = IntervalSequence(np.random.default_rng(7).geometric(1 / 16, size=10**5))\n"
+            "print([repr(c) for c in acf_curve(ints).values.tolist()])\n"
+        )
+        src = str(Path(lrclab.__file__).resolve().parents[1])
+        # OpenBLAS falls back on these when OPENBLAS_NUM_THREADS is unset
+        limits = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in limits}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2", None):
+            run_env = env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads}
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=run_env, capture_output=True, text=True, check=True, timeout=60
+            )
+            outputs.append(out.stdout)
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestFitPowerLaw:

@@ -14,7 +14,9 @@ parentheses:
     generate: Simon alpha 0.1 13.3 (43, then 16.4), Simon alpha 0.4 15.5
         (37, then 16.4), conjunct (0.68, 0.8) 12.7 (42, then 16.4),
         Pitman-Yor (0.68, 0.8) and (0, 0.8) 20.1 (74, then 18.2: its
-        block temporaries now set the peak, and fall to 13.6 at 1e6)
+        block temporaries now set the peak, and fall to 13.6 at 1e6);
+        Pitman-Yor and conjunct (0, 0) 8.0, the ids alone, as they draw
+        no random numbers (20.1 and 12.7 while they drew them)
     shuffle 19 (39)
     generate_zipf_iid, 50000 ranks, 16 (32)
     type_stats: Simon alpha 0.1 2.4 (9.6, then 4.0), Pitman-Yor (0.68,
@@ -45,6 +47,7 @@ from lrclab.seqcore import DataError
 
 TOKENS = 200_000
 GENERATOR_BOUND = 24  # bytes a token, for every generator and shuffle
+CONSTANT_BOUND = 8.5  # bytes a token, the (a, b) models at (0, 0): the ids alone
 TYPE_STATS_BOUND = 6  # bytes a token, where the types are a small share
 MANY_TYPES_BOUND = 11  # bytes a token, type_stats of Simon alpha 0.4
 RANK_FREQUENCY_BOUND = 5  # bytes a token, rank_frequency of Simon alpha 0.4
@@ -96,6 +99,15 @@ def test_generate(simon, model, params):
     per_token, seq = peak_bytes_per_token(lambda: generate(p))
     assert seq.m == TOKENS
     assert per_token <= GENERATOR_BOUND
+
+
+@pytest.mark.parametrize("model", ["pitman_yor", "conjunct"])
+def test_generate_constant(model):
+    # at a = b = 0 every element is type 0, so no random number is drawn
+    p = ModelParams(model=model, length=TOKENS, seed=4, a=0.0, b=0.0)
+    per_token, seq = peak_bytes_per_token(lambda: generate(p))
+    assert seq.m == TOKENS and not seq.tokens.any()
+    assert per_token <= CONSTANT_BOUND
 
 
 def test_shuffle(simon):
