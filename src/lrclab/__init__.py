@@ -45,7 +45,7 @@ from .corpusio import (
     ChatDocument,
     ChatParseError,
     Utterance,
-    extract_speaker,
+    extract_speaker_with_stats,
     parse_chat,
     read_token_file,
     read_tokens,

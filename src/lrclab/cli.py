@@ -39,6 +39,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
+def worker_count(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     rare = args.rare.split(",") if args.rare else None
     report = harness.run_analysis(args.input, n=args.n, out_dir=args.out, rare_words=rare)
@@ -142,7 +148,7 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_sweep)
     p.add_argument("--spec", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=worker_count, default=1)
 
     p = sub.add_parser("chat-extract", help="extract speaker tokens from a CHAT transcript")
     p.set_defaults(handler=_cmd_chat_extract)

@@ -17,7 +17,7 @@ from itertools import chain, filterfalse
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .seqcore import DataError, TokenSequence, sequence_from_surface
+from .seqcore import DataError, TokenSequence, read_text, sequence_from_surface
 
 DEFAULT_DROP_CODES = frozenset({"xxx", "yyy", "www"})
 
@@ -161,11 +161,7 @@ def parse_chat(text: str) -> ChatDocument:
 
 
 def parse_chat_file(path: str | Path) -> ChatDocument:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    return parse_chat(text)
+    return parse_chat(read_text(path))
 
 
 def extract_speaker_with_stats(
@@ -201,14 +197,6 @@ def extract_speaker_with_stats(
     return seq, total - seq.m
 
 
-def extract_speaker(
-    doc: ChatDocument,
-    speakers: Iterable[str],
-    drop_codes: Iterable[str] = DEFAULT_DROP_CODES,
-) -> TokenSequence:
-    return extract_speaker_with_stats(doc, speakers, drop_codes)[0]
-
-
 def read_tokens(text: str) -> TokenSequence:
     """Whitespace tokenization, lowercased, ids in first-occurrence order.
 
@@ -220,10 +208,7 @@ def read_tokens(text: str) -> TokenSequence:
 
 
 def read_token_file(path: str | Path) -> TokenSequence:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    text = read_text(path)
     try:
         return read_tokens(text)
     except DataError as exc:

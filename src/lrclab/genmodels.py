@@ -174,15 +174,11 @@ def pitman_yor_next(state: GeneratorState, a: float, b: float, rng: np.random.Ge
 
 
 def conjunct_next(past: Sequence[int], a: float, b: float, rng: np.random.Generator, k: int | None = None) -> int:
-    """One draw: a fresh id with probability eta = (a*K + b) / (t + b),
-    otherwise uniform reuse from the past sequence."""
+    """One draw: `simon_next` at the innovation rate eta = (a*K + b) / (t + b),
+    so a fresh id with probability eta, otherwise uniform reuse."""
     if k is None:
         k = int(max(past)) + 1
-    t = len(past)
-    eta = (a * k + b) / (t + b)
-    if rng.random() < eta:
-        return k
-    return int(past[int(rng.integers(0, t))])
+    return simon_next(past, (a * k + b) / (len(past) + b), rng, k)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .seqcore import (
     moments,
     open_output,
     read_acf_csv,
+    read_text,
     write_acf_csv,
     write_intervals_csv,
     write_json,
@@ -132,9 +133,9 @@ class SweepSpec:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SweepSpec":
-        try:
-            d = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        try:  # a failed read passes its own DataError through
+            d = json.loads(read_text(path, "sweep spec"))
+        except json.JSONDecodeError as exc:
             raise DataError(f"cannot read sweep spec {path}: {exc}") from exc
         return cls.from_dict(d)
 
@@ -340,18 +341,19 @@ def write_analysis(report: lrcstats.AnalysisReport, out_dir: str | Path) -> None
 
 def _sweep_model(path: Path) -> str:
     """The model named in a sweep's sweep.json manifest, validated as a spec."""
+    text = read_text(path, "sweep manifest")  # before the try: ValueError would rewrap its DataError
     try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest = json.loads(text)
         return SweepSpec.from_dict(manifest["spec"]).model
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"cannot read sweep manifest {path}: {exc}") from exc
 
 
 def _report_m_n(path: Path) -> int:
     """The M/N an analysis used, from its report.json."""
-    try:
-        m_n = json.loads(path.read_text(encoding="utf-8"))["m_n"]
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    try:  # a failed read passes its own DataError through
+        m_n = json.loads(read_text(path, "analysis report"))["m_n"]
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise DataError(f"cannot read analysis report {path}: {exc}") from exc
     if type(m_n) is not int:
         raise DataError(f"{path}: m_n must be an integer, not {m_n!r}")
@@ -395,7 +397,7 @@ def emit_figure_data(
             fit = lrcstats.fit_power_law(curve.offsets, curve.values, decay=True)
             manifest["fit"] = {"exponent": fit.exponent, "amplitude": fit.amplitude}
         with open_output(out / name) as fh:
-            fh.write(src_path.read_text(encoding="utf-8"))
+            fh.write(read_text(src_path))
         manifest["files"].append({"file": name, "x": axes[0], "y": axes[1]})
 
     write_json(out / "manifest.json", manifest)

@@ -101,6 +101,10 @@ class _Frozen:
     def __len__(self) -> int:
         return len(getattr(self, fields(self)[0].name))
 
+    def __post_init__(self) -> None:
+        # The one-array types' constructor: their `_own` checks an int64 copy.
+        self._own(np.array(getattr(self, fields(self)[0].name), dtype=np.int64))
+
     @classmethod
     def _adopt(cls: type[_F], arr: np.ndarray, **rest: object) -> _F:
         """An instance over an int64 array that the caller hands over as its
@@ -124,9 +128,6 @@ class TokenSequence(_Frozen):
 
     tokens: np.ndarray
     symbols: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        self._own(np.array(self.tokens, dtype=np.int64))
 
     def _own(self, arr: np.ndarray) -> None:
         if arr.ndim != 1 or arr.size == 0:
@@ -165,10 +166,7 @@ class TokenSequence(_Frozen):
         return f"w{token_id}"
 
     def surfaces(self) -> Iterator[str]:
-        if self.symbols is not None:
-            table = self.symbols
-            return (table[t] for t in self.tokens.tolist())
-        return (f"w{t}" for t in self.tokens.tolist())
+        return map(self.surface, self.tokens.tolist())
 
 
 def sequence_from_surface(surfaces: Iterable[str]) -> TokenSequence:
@@ -183,8 +181,6 @@ def sequence_from_surface(surfaces: Iterable[str]) -> TokenSequence:
             i = len(ids)
             ids[tok] = i
         append(i)
-    if not out:
-        raise DataError("empty input")
     return TokenSequence._adopt(np.frombuffer(out, dtype=np.int64), symbols=tuple(ids))
 
 
@@ -199,9 +195,6 @@ class IntervalSequence(_Frozen):
     """
 
     intervals: np.ndarray
-
-    def __post_init__(self) -> None:
-        self._own(np.array(self.intervals, dtype=np.int64))
 
     def _own(self, arr: np.ndarray) -> None:
         if arr.ndim != 1 or arr.size == 0:
@@ -274,9 +267,6 @@ class RankFrequency(_Frozen):
 
     frequencies: np.ndarray
 
-    def __post_init__(self) -> None:
-        self._own(np.array(self.frequencies, dtype=np.int64))
-
     def _own(self, arr: np.ndarray) -> None:
         if arr.ndim != 1 or arr.size == 0:
             raise DataError("empty rank-frequency table")
@@ -336,6 +326,14 @@ def open_output(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
+def read_text(path: str | Path, kind: str = "") -> str:
+    """The UTF-8 text of an input file, or DataError "cannot read [<kind> ]<path>: <reason>"."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {kind + ' ' if kind else ''}{path}: {exc}") from exc
+
+
 def write_json(path: str | Path, payload: dict) -> None:
     """Write `payload` as indented JSON with a trailing newline."""
     with open_output(path) as fh:
@@ -345,9 +343,7 @@ def write_json(path: str | Path, payload: dict) -> None:
 def write_token_file(seq: TokenSequence, path: str | Path) -> None:
     """Write one surface token per line (ids render as w<id> when there is
     no symbol table)."""
-    names = seq.symbols
-    if names is None:
-        names = [f"w{i}" for i in range(int(seq.tokens.max()) + 1)]
+    names = seq.symbols or list(map(seq.surface, range(int(seq.tokens.max()) + 1)))
     table = np.array(names, dtype=object)
     # One block of lines at a time; each block ends in a newline, as the file does.
     with open_output(path) as fh:
@@ -362,7 +358,7 @@ def _write_csv(path: str | Path, header: str, rows: Iterable[str]) -> None:
 
 
 def _read_csv(path: str | Path, expected_header: str) -> list[list[str]]:
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     lines = [ln for ln in text.split("\n") if ln]
     if not lines or lines[0] != expected_header:
         raise DataError(f"expected CSV header '{expected_header}' in {path}")
@@ -385,8 +381,11 @@ def read_acf_csv(path: str | Path, source_length: int) -> AcfCurve:
     """Read an `s,c` CSV back into a curve. The source series length is not
     part of the CSV and must be supplied (the analysis report carries it)."""
     rows = _read_csv(path, "s,c")
-    s = [int(r[0]) for r in rows]
-    c = [float(r[1]) for r in rows]
+    try:
+        s = [int(r[0]) for r in rows]
+        c = [float(r[1]) for r in rows]
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     return AcfCurve(np.array(s), np.array(c), source_length=source_length)
 
 

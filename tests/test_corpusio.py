@@ -9,7 +9,6 @@ from lrclab import corpusio
 from lrclab.corpusio import (
     DEFAULT_DROP_CODES,
     ChatParseError,
-    extract_speaker,
     extract_speaker_with_stats,
     parse_chat,
     parse_chat_file,
@@ -222,7 +221,7 @@ class TestParseChat:
 class TestExtractSpeaker:
     def test_speaker_filtering(self):
         doc = parse_chat("*CHI:\tmore cookie .\n*MOT:\tyou want it ?\n*CHI:\tyes .\n")
-        seq = extract_speaker(doc, {"CHI"})
+        seq = extract_speaker_with_stats(doc, {"CHI"})[0]
         assert list(seq.surfaces()) == ["more", "cookie", "yes"]
 
     def test_drop_codes(self):
@@ -233,14 +232,14 @@ class TestExtractSpeaker:
 
     def test_lowercasing_merges_types(self):
         doc = parse_chat("*CHI:\tThe ball the Ball .\n")
-        seq = extract_speaker(doc, {"CHI"})
+        seq = extract_speaker_with_stats(doc, {"CHI"})[0]
         assert seq.symbols == ("the", "ball")
         assert seq.tokens.tolist() == [0, 1, 0, 1]
 
     def test_no_tokens_error(self):
         doc = parse_chat("*CHI:\txxx .\n*MOT:\tfine .\n")
         with pytest.raises(DataError, match="no tokens for speakers"):
-            extract_speaker(doc, {"CHI"})
+            extract_speaker_with_stats(doc, {"CHI"})
 
     def test_golden_fixture(self):
         doc = parse_chat_file(DATA / "sample.cha")
@@ -267,7 +266,7 @@ class TestExtractSpeaker:
 
     def test_golden_fixture_mother(self):
         doc = parse_chat_file(DATA / "sample.cha")
-        seq = extract_speaker(doc, {"MOT"})
+        seq = extract_speaker_with_stats(doc, {"MOT"})[0]
         assert list(seq.surfaces())[:4] == ["you", "want", "the", "ball"]
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -666,6 +667,49 @@ class TestCli:
         assert "lrclab: error:" in capsys.readouterr().err
         assert not (out / "acf.csv").exists()
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("figure_id, name, damage", [
+        ("acf", "acf.csv", lambda b: re.sub(rb"\n1,[^\n]*", b"\n1,abc", b, count=1)),
+        ("acf", "acf.csv", lambda b: b.replace(b"\n1,", b"\n1.5,", 1)),
+        ("acf", "acf.csv", lambda b: b + b"\xff\n"),
+        ("rankfreq", "rankfreq.csv", lambda b: b + b"\xff\n"),
+        ("typetoken", "typetoken.csv", lambda b: b + b"\xff\n"),
+        ("sweep_map", "aggregates.csv", lambda b: b + b"\xff\n"),
+    ], ids=["acf-not-a-number", "acf-fractional-offset", "acf-non-utf8", "rankfreq-non-utf8",
+            "typetoken-non-utf8", "aggregates-non-utf8"])
+    def test_figure_malformed_input_exit_code(self, tmp_path, capsys, figure_id, name, damage):
+        src = tmp_path / "tokens.txt"
+        rng = np.random.default_rng(3)
+        src.write_text("\n".join(f"w{t}" for t in rng.integers(0, 40, size=20000)) + "\n")
+        # One directory holds an analysis and a sweep, so every figure id finds its input.
+        analysis = tmp_path / "analysis"
+        run_analysis(src, out_dir=analysis)
+        spec = SweepSpec(model="conjunct", replicates=1, length=10, base_seed=0,
+                         a_values=(0.5,), b_values=(1.0,))
+        aggregates = (CellAggregate(cell=(0.5, 1.0), replicates=1, mean_gamma=None, sd_gamma=None,
+                                    lrc_fraction=0.0, mean_fit_error=None, pooled_fit_error=None),)
+        write_sweep_result(SweepResult(spec=spec, records=(), aggregates=aggregates), analysis)
+        path = analysis / name
+        damaged = damage(path.read_bytes())
+        assert damaged != path.read_bytes()
+        path.write_bytes(damaged)
+        out = tmp_path / "fig"
+        assert cli.main(["figure", "--input", str(analysis), "--id", figure_id, "--out", str(out)]) == 2
+        assert "lrclab: error:" in capsys.readouterr().err
+        assert not (out / f"{figure_id}.csv").exists()
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_sweep_workers_below_one_usage_error(self, tmp_path, capsys, workers):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"model": "simon", "alpha_values": [0.1], "replicates": 1,
+                                         "length": 100, "base_seed": 0}))
+        out = tmp_path / "sweep"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--spec", str(spec_path), "--out", str(out), "--workers", workers])
+        assert exc.value.code == 1
+        assert "--workers: must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_generate_py_requires_b(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

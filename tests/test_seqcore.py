@@ -1,6 +1,7 @@
 import ast
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lrclab
-from lrclab.corpusio import extract_speaker, parse_chat, read_token_file, read_tokens
+from lrclab.corpusio import extract_speaker_with_stats, parse_chat, read_token_file, read_tokens
 from lrclab.genmodels import ModelParams, generate, generate_bigram, generate_zipf_iid, shuffle
 from lrclab.lrcstats import acf_curve, autocorrelation
 from lrclab.seqcore import (
@@ -27,6 +28,7 @@ from lrclab.seqcore import (
     moments,
     open_output,
     read_acf_csv,
+    read_text,
     sequence_from_surface,
     write_acf_csv,
     write_intervals_csv,
@@ -281,6 +283,59 @@ class TestOneWriter:
         assert _unguarded_writes(source) == []
 
 
+def _unguarded_reads(source: str) -> list[int]:
+    """Lines that read a file outside seqcore.read_text: a .read_text(...)
+    or .read_bytes(...) method call, or any open(...) / .open(...) outside
+    read_text and open_output (writes go through the latter)."""
+    tree = ast.parse(source)
+    exempt = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in ("read_text", "open_output"):
+            exempt.update(id(n) for n in ast.walk(node))
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in exempt:
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in ("read_text", "read_bytes", "open"):
+            lines.append(node.lineno)
+        elif isinstance(func, ast.Name) and func.id == "open":
+            lines.append(node.lineno)
+    return lines
+
+
+class TestOneReader:
+    def test_sources_read_only_through_read_text(self):
+        sources = {p.name: p.read_text(encoding="utf-8") for p in Path(lrclab.__file__).parent.glob("*.py")}
+        assert [name for name, text in sources.items() if "def read_text" in text] == ["seqcore.py"]
+        found = {name: lines for name, text in sources.items() if (lines := _unguarded_reads(text))}
+        assert found == {}
+
+    @pytest.mark.parametrize("source", ["Path(p).read_text()", "p.read_bytes()", "open(p)", "p.open()"])
+    def test_guard_catches(self, source):
+        assert _unguarded_reads(source)
+
+    @pytest.mark.parametrize("source", ["read_text(p)", "read_text(p, 'sweep spec')",
+                                        "def read_text(p):\n    return Path(p).read_text()"])
+    def test_guard_allows(self, source):
+        assert _unguarded_reads(source) == []
+
+    @pytest.mark.parametrize("content", [None, b"caf\xe9\n"], ids=["missing", "non-utf8"])
+    def test_failed_read_is_data_error(self, tmp_path, content):
+        path = tmp_path / "input.txt"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(DataError, match=f"^cannot read {re.escape(str(path))}: "):
+            read_text(path)
+        with pytest.raises(DataError, match=f"^cannot read sweep spec {re.escape(str(path))}: "):
+            read_text(path, "sweep spec")
+
+    def test_reads_utf8(self, tmp_path):
+        path = tmp_path / "input.txt"
+        path.write_bytes("caf\u00e9\n".encode("utf-8"))
+        assert read_text(path) == "caf\u00e9\n"
+
+
 class TestRoundTrips:
     def test_token_file(self, tmp_path):
         seq = sequence_from_surface(["oh", "romeo", "romeo", "wherefore"])
@@ -475,4 +530,4 @@ class TestProducersReturnCanonicalIds:
     def test_readers(self, words):
         assert_canonical(read_tokens(" ".join(words)))
         doc = parse_chat("".join(f"*CHI:\t{w} .\n" for w in words) + "*CHI:\tend .\n")
-        assert_canonical(extract_speaker(doc, {"CHI"}))
+        assert_canonical(extract_speaker_with_stats(doc, {"CHI"})[0])
