@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .seqcore import DataError, TokenSequence, _spans, label_counts
+from .seqcore import DataError, TokenSequence, _spans, id_dtype, label_counts
 
 
 @dataclass
@@ -199,14 +199,7 @@ def _constant(params: ModelParams) -> TokenSequence:
     """The one sequence of the (a, b) models at a = b = 0: the innovation
     rate (a*K + b) / (t + b) is 0 at every step, so every element is type 0
     whatever the draws, and none is made."""
-    return TokenSequence._adopt(np.zeros(params.length, dtype=np.int64))
-
-
-def _pointer_dtype(m: int) -> type:
-    """Integer type of the whole-length index arrays over m positions (the
-    ids of Pitman-Yor's later occurrences): int32 while every position
-    fits, which halves them."""
-    return np.int32 if m < 2**31 else np.int64
+    return TokenSequence._adopt(np.zeros(params.length, dtype=id_dtype(params.length)))
 
 
 def _uniform_blocks(rng: np.random.Generator, n: int) -> Iterator[np.ndarray]:
@@ -252,7 +245,7 @@ def _finish_block(block: np.ndarray, copies: np.ndarray, src: np.ndarray, fresh:
     of such copies in a few rounds. Checks that every copy points back and
     that ids follow first occurrence."""
     assert np.all(src < copies), "a copy must point at an earlier position"
-    block[fresh] = np.arange(k, k + fresh.size)
+    block[fresh] = np.arange(k, k + fresh.size, dtype=block.dtype)
     ptr = np.arange(block.size)
     ptr[copies] = end = src
     while True:
@@ -262,7 +255,9 @@ def _finish_block(block: np.ndarray, copies: np.ndarray, src: np.ndarray, fresh:
         ptr[copies] = end = hop
     block[copies] = block[end]
     # the highest id issued up to each offset
-    issued = np.repeat(np.arange(k - 1, k + fresh.size), np.diff(np.concatenate(([0], fresh, [block.size]))))
+    issued = np.repeat(
+        np.arange(k - 1, k + fresh.size, dtype=block.dtype), np.diff(np.concatenate(([0], fresh, [block.size])))
+    )
     assert np.all(block <= issued), "ids must follow first occurrence"
     return k + fresh.size
 
@@ -276,7 +271,7 @@ def _generate_uniform_copy(
     m = params.length
     rng = _seeded_rng(params.seed)
     new = innovations(_uniform_blocks(rng, m - 1)) + 1
-    tokens = np.empty(m, dtype=np.int64)
+    tokens = np.empty(m, dtype=id_dtype(m))
     tokens[0] = 0
     k = 1  # ids issued before the block
     for lo, hi in _spans(1, m):
@@ -331,7 +326,7 @@ def _pitman_yor_block(
     # a later slot, clipped into range, and a root or a slot inside the
     # block then overwrites what it read
     at = np.flatnonzero(first)
-    first_ids = np.minimum(x[at] / (1.0 - a), kb[at] - 1).astype(np.int64)
+    first_ids = np.minimum(x[at] / (1.0 - a), kb[at] - 1).astype(block.dtype)
     x -= first_w
     t -= kb + 1
     slot = np.minimum(x, t, out=x).astype(np.int64)
@@ -365,8 +360,8 @@ def generate_pitman_yor(params: ModelParams) -> TokenSequence:
     rng = _seeded_rng(params.seed)
     roots = np.concatenate(([0], _eta_innovations(_uniform_blocks(rng, m - 1), a, b) + 1))
     # one spare entry keeps the gather of a block valid when every element is new
-    later_ids = np.empty(m - roots.size + 1, dtype=_pointer_dtype(m))
-    tokens = np.empty(m, dtype=np.int64)
+    later_ids = np.empty(m - roots.size + 1, dtype=id_dtype(m))
+    tokens = np.empty(m, dtype=later_ids.dtype)
     tokens[0] = 0
     n_later = 0  # later occurrences before the block
     for lo, hi in _spans(0, m - 1):
@@ -404,7 +399,7 @@ def _relabel_first_occurrence(ids: np.ndarray) -> np.ndarray:
     new_id = first  # the first positions are no longer needed
     new_id[labels] = np.arange(labels.size)
     for lo, hi in _spans(0, ids.size):
-        ids[lo:hi] = new_id[ids[lo:hi]]
+        ids[lo:hi] = new_id.take(ids[lo:hi])
     return labels
 
 
@@ -430,11 +425,12 @@ def generate_zipf_iid(
     np.power(cdf, -exponent, out=cdf)
     np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
-    ranks = np.empty(length, dtype=np.int64)
+    # the ranks are below vocab_size, the relabelled ids below length
+    ranks = np.empty(length, dtype=id_dtype(max(length, vocab_size)))
     for lo, hi in _spans(0, length):
         ranks[lo:hi] = np.searchsorted(cdf, rng.random(hi - lo), side="right")
     _relabel_first_occurrence(ranks)
-    return TokenSequence._adopt(ranks)
+    return TokenSequence._adopt(ranks.astype(id_dtype(length), copy=False))
 
 
 def generate_bigram(corpus: TokenSequence, length: int, seed: int) -> TokenSequence:
@@ -465,7 +461,8 @@ def generate_bigram(corpus: TokenSequence, length: int, seed: int) -> TokenSeque
     width[restart] = m_c
     start, width = start.tolist(), width.tolist()
 
-    out = array("q")
+    dtype = np.dtype(id_dtype(length))
+    out = array(dtype.char)
     append = out.append
     cur = n_types
     for u in _uniform_blocks(rng, length):
@@ -473,7 +470,7 @@ def generate_bigram(corpus: TokenSequence, length: int, seed: int) -> TokenSeque
             cur = table[start[cur] + int(x * width[cur])]
             append(cur)
     del table
-    return _resampled(np.frombuffer(out, dtype=np.int64), corpus)
+    return _resampled(np.frombuffer(out, dtype=dtype), corpus)
 
 
 def shuffle(seq: TokenSequence, seed: int) -> TokenSequence:

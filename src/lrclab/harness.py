@@ -25,6 +25,7 @@ from .genmodels import MODEL_PARAMS, ModelParams, generate
 from .seqcore import (
     DataError,
     TokenSequence,
+    _csv_text,
     _read_csv,
     _write_csv,
     moments,
@@ -370,22 +371,22 @@ def emit_figure_data(
     if figure_id not in FIGURE_IDS:
         raise DataError(f"unknown figure_id '{figure_id}'")
     src = Path(input_dir)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     manifest: dict = {"figure": figure_id, "files": []}
 
+    # Every input is read before the output directory is made, so a failed
+    # figure leaves nothing behind.
     if figure_id == "sweep_map":
         cell_cols = list(MODEL_PARAMS[_sweep_model(src / "sweep.json")])
         columns = cell_cols + [f.name for f in fields(CellAggregate)][1:]
         rows = _read_csv(src / "aggregates.csv", ",".join(columns))
         frac = columns.index("lrc_fraction")
-        _write_csv(
-            out / "sweep_map.csv",
+        name = "sweep_map.csv"
+        text = _csv_text(
             ",".join(cell_cols + ["lrc_fraction"]),
             (",".join(row[: len(cell_cols)] + [row[frac]]) for row in rows),
         )
         roles = dict(zip(("x", "y", "value"), cell_cols + ["lrc_fraction"]))
-        manifest["files"].append({"file": "sweep_map.csv", **roles})
+        manifest["files"].append({"file": name, **roles})
     else:
         name = f"{figure_id}.csv"
         axes = {"rankfreq": ("rank", "freq"), "typetoken": ("m", "v"), "acf": ("s", "c")}[figure_id]
@@ -396,10 +397,13 @@ def emit_figure_data(
             curve = read_acf_csv(src_path, source_length=_report_m_n(src / "report.json"))
             fit = lrcstats.fit_power_law(curve.offsets, curve.values, decay=True)
             manifest["fit"] = {"exponent": fit.exponent, "amplitude": fit.amplitude}
-        with open_output(out / name) as fh:
-            fh.write(read_text(src_path))
+        text = read_text(src_path)
         manifest["files"].append({"file": name, "x": axes[0], "y": axes[1]})
 
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    with open_output(out / name) as fh:
+        fh.write(text)
     write_json(out / "manifest.json", manifest)
     return manifest
 

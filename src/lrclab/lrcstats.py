@@ -123,16 +123,27 @@ def extract_intervals(seq: TokenSequence, rare: np.ndarray | Iterable[int]) -> I
     The rare positions are the one whole-length int64 array: they are turned
     into gaps in place, a block at a time from the front, each block reading
     the still-unchanged first position of the next, and handed to the
-    IntervalSequence without a copy."""
+    IntervalSequence without a copy. When every type present is rare, every
+    gap is 1, and the gaps are a read-only broadcast of 1 that takes no
+    memory."""
     rare_ids = np.asarray(rare, np.int64) if isinstance(rare, np.ndarray) else np.fromiter(rare, np.int64)
     if rare_ids.size == 0:
         raise DataError("insufficient occurrences")
     if rare_ids.min() < 0:
         raise DataError("negative symbol id")
-    top = int(seq.type_stats[0][-1])
-    mask = np.zeros(top + 1, dtype=bool)
-    mask[rare_ids[rare_ids <= top]] = True
-    gaps = np.flatnonzero(mask[seq.tokens])
+    present = seq.type_stats[0]
+    mask = np.zeros(int(present[-1]) + 1, dtype=bool)
+    mask[rare_ids[rare_ids < mask.size]] = True
+    if mask[present].all():
+        if seq.m < 2:
+            raise DataError("insufficient occurrences")
+        return IntervalSequence._adopt(np.broadcast_to(np.int64(1), seq.m - 1))
+    # np.take casts a block of int32 ids to indices at a time; mask[tokens]
+    # would cast them one small buffer at a time, at twice the cost
+    is_rare = np.empty(seq.m, dtype=bool)
+    for lo, hi in _spans(0, seq.m):
+        mask.take(seq.tokens[lo:hi], out=is_rare[lo:hi])
+    gaps = np.flatnonzero(is_rare)
     if gaps.size < 2:
         raise DataError("insufficient occurrences")
     for lo, hi in _spans(0, gaps.size - 1):

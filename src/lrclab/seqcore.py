@@ -59,6 +59,14 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def id_dtype(m: int) -> type:
+    """Integer type of the ids of a sequence of m tokens: int32 while every
+    position fits, as every id lrclab issues is below the length, and
+    int64 from m = 2**31 on. Interval, frequency and rare-id arrays stay
+    int64."""
+    return np.int32 if m < 2**31 else np.int64
+
+
 def _spans(lo: int, hi: int) -> Iterator[tuple[int, int]]:
     """Consecutive [start, stop) blocks of at most _BLOCK covering [lo, hi)."""
     for start in range(lo, hi, _BLOCK):
@@ -101,17 +109,23 @@ class _Frozen:
     def __len__(self) -> int:
         return len(getattr(self, fields(self)[0].name))
 
+    @staticmethod
+    def _dtype(n: int) -> type:
+        """Integer type of the first field when it holds n elements."""
+        return np.int64
+
     def __post_init__(self) -> None:
         # The one-array types' constructor: their `_own` checks an int64 copy.
         self._own(np.array(getattr(self, fields(self)[0].name), dtype=np.int64))
 
     @classmethod
     def _adopt(cls: type[_F], arr: np.ndarray, **rest: object) -> _F:
-        """An instance over an int64 array that the caller hands over as its
-        first field, with `rest` its other fields by name: the array is
-        frozen in place, not copied, so the caller must not keep a writable
-        reference to it. `_own` runs the constructor's checks on it."""
-        assert arr.dtype == np.int64, "only an int64 array can be adopted"
+        """An instance over an array of the first field's type that the
+        caller hands over as that field, with `rest` its other fields by
+        name: the array is frozen in place, not copied, so the caller must
+        not keep a writable reference to it. `_own` runs the constructor's
+        checks on it."""
+        assert arr.dtype == cls._dtype(arr.size), "only an array of the field's type can be adopted"
         obj = object.__new__(cls)
         for name, value in rest.items():
             object.__setattr__(obj, name, value)
@@ -123,17 +137,26 @@ class _Frozen:
 class TokenSequence(_Frozen):
     """Ordered symbol ids (one per token position) with an optional id -> surface
     table. Ids are assigned in first-occurrence order at ingestion/generation
-    time, which makes every downstream tie-break deterministic.
+    time, which makes every downstream tie-break deterministic. They are
+    stored as `id_dtype(m)`: the constructor narrows its copy, and an id
+    that does not fit is a DataError.
     """
 
     tokens: np.ndarray
     symbols: tuple[str, ...] | None = None
+
+    _dtype = staticmethod(id_dtype)
 
     def _own(self, arr: np.ndarray) -> None:
         if arr.ndim != 1 or arr.size == 0:
             raise DataError("empty input")
         if arr.min() < 0:
             raise DataError("negative symbol id")
+        dtype = self._dtype(arr.size)
+        if arr.dtype != dtype:  # the constructor's int64 copy
+            if arr.max() > np.iinfo(dtype).max:
+                raise DataError("symbol id out of range")
+            arr = arr.astype(dtype)
         if self.symbols is not None:
             table = tuple(self.symbols)
             if int(arr.max()) >= len(table):
@@ -173,7 +196,7 @@ def sequence_from_surface(surfaces: Iterable[str]) -> TokenSequence:
     """Build a TokenSequence from surface tokens, assigning ids in
     first-occurrence order."""
     ids: dict[str, int] = {}
-    out = array("q")
+    out = array("i")  # int32: an id above 2**31 - 1 raises OverflowError
     append = out.append
     for tok in surfaces:
         i = ids.get(tok)
@@ -181,7 +204,9 @@ def sequence_from_surface(surfaces: Iterable[str]) -> TokenSequence:
             i = len(ids)
             ids[tok] = i
         append(i)
-    return TokenSequence._adopt(np.frombuffer(out, dtype=np.int64), symbols=tuple(ids))
+    tokens = np.frombuffer(out, dtype=np.int32)
+    # widened only from 2**31 tokens on
+    return TokenSequence._adopt(tokens.astype(id_dtype(tokens.size), copy=False), symbols=tuple(ids))
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,9 +377,13 @@ def write_token_file(seq: TokenSequence, path: str | Path) -> None:
             fh.write("\n")
 
 
+def _csv_text(header: str, rows: Iterable[str]) -> str:
+    return "\n".join(chain((header,), rows)) + "\n"
+
+
 def _write_csv(path: str | Path, header: str, rows: Iterable[str]) -> None:
     with open_output(path) as fh:
-        fh.write("\n".join(chain((header,), rows)) + "\n")
+        fh.write(_csv_text(header, rows))
 
 
 def _read_csv(path: str | Path, expected_header: str) -> list[list[str]]:

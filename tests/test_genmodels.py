@@ -9,7 +9,6 @@ from scipy.stats import chisquare
 from lrclab import cli, genmodels
 from lrclab.genmodels import (
     _eta_innovations,
-    _pointer_dtype,
     _finish_block,
     _relabel_first_occurrence,
     _resampled,
@@ -27,7 +26,7 @@ from lrclab.genmodels import (
     simon_next,
 )
 from lrclab.lrcstats import rank_frequency
-from lrclab.seqcore import DataError, TokenSequence
+from lrclab.seqcore import DataError, TokenSequence, id_dtype
 
 REPLAYS = 30_000
 
@@ -319,23 +318,49 @@ class TestBulkMatchesKernels:
         with pytest.raises(AssertionError, match="first occurrence"):
             _finish_block(block, none, none, none, 1)
 
+    @staticmethod
+    def _widths_agree(monkeypatch, cells):
+        # every id of a generator written as int64, as from 2**31 tokens on
+        narrow = [generate(p).tokens for p in cells]
+        monkeypatch.setattr(genmodels, "id_dtype", lambda m: np.int64)
+        monkeypatch.setattr(TokenSequence, "_dtype", staticmethod(lambda n: np.int64))
+        for p, tokens in zip(cells, narrow):
+            wide = generate(p).tokens
+            assert (tokens.dtype, wide.dtype) == (np.int32, np.int64)
+            assert np.array_equal(wide, tokens)
+
     def test_later_id_widths_agree(self, monkeypatch):
         cells = [ModelParams(model="pitman_yor", length=40_000, seed=2, a=a, b=b) for a, b in AB_CELLS]
-        narrow = [generate_pitman_yor(p).tokens for p in cells]
-        monkeypatch.setattr(genmodels, "_pointer_dtype", lambda m: np.int64)
-        for p, tokens in zip(cells, narrow):
-            assert np.array_equal(generate_pitman_yor(p).tokens, tokens)
+        self._widths_agree(monkeypatch, cells)
+
+    def test_uniform_copy_id_widths_agree(self, monkeypatch):
+        cells = [ModelParams(model="simon", length=40_000, seed=2, alpha=alpha) for alpha in (0.1, 0.4)]
+        cells += [ModelParams(model="conjunct", length=40_000, seed=2, a=a, b=b) for a, b in AB_CELLS]
+        self._widths_agree(monkeypatch, cells)
+
+    def test_zipf_ranks_wider_than_ids(self, monkeypatch):
+        # ranks run up to the vocabulary, which may exceed the length: with
+        # a rule that narrows to int8 below 100, 300 ranks must not wrap
+        want = generate_zipf_iid(300, 0.5, 50, 3).tokens
+        rule = lambda m: np.int8 if m < 100 else np.int64  # noqa: E731
+        monkeypatch.setattr(genmodels, "id_dtype", rule)
+        monkeypatch.setattr(TokenSequence, "_dtype", staticmethod(rule))
+        got = generate_zipf_iid(300, 0.5, 50, 3).tokens
+        assert got.dtype == np.int8 and np.array_equal(got, want)
 
     def test_pointer_dtype_rule(self):
-        assert _pointer_dtype(1) is np.int32
-        assert _pointer_dtype(2**31 - 1) is np.int32
-        assert _pointer_dtype(2**31) is np.int64
-        assert _pointer_dtype(2**40) is np.int64
+        # the rule is applied at 2**31 without allocating that many elements
+        assert id_dtype(0) is np.int32
+        assert id_dtype(1) is np.int32
+        assert id_dtype(2**31 - 1) is np.int32
+        assert id_dtype(2**31) is np.int64
+        assert id_dtype(2**40) is np.int64
 
 
 PINNED_LENGTHS = (1, 2, 17, 2**14, 2**14 + 1, 2**14 + 2, 70_000)
 PINNED_SEEDS = (0, 1)
-# sha256 over tokens.tobytes() of every (length, seed) pair above, in order
+# sha256 over the int64 bytes of the tokens of every (length, seed) pair
+# above, in order: the ids are pinned, not the width they are stored in
 PINNED_DIGESTS = [
     ("simon", {"alpha": 0.1}, "eabce82ff21bcdfec331c03e7e3fd2d1b65607ec912e9a4d413db3ea04f6418a"),
     ("simon", {"alpha": 0.4}, "64fec19fc7a9f5b29cd9d149e1185aec473b2144b0723a818ed425fd02979070"),
@@ -357,7 +382,31 @@ def test_generated_bytes_pinned(model, params, digest):
     h = hashlib.sha256()
     for length in PINNED_LENGTHS:
         for seed in PINNED_SEEDS:
-            h.update(generate(ModelParams(model=model, length=length, seed=seed, **params)).tokens.tobytes())
+            tokens = generate(ModelParams(model=model, length=length, seed=seed, **params)).tokens
+            h.update(tokens.astype(np.int64).tobytes())
+    assert h.hexdigest() == digest
+
+
+_RESAMPLE_SOURCE = ModelParams(model="simon", length=5000, seed=3, alpha=0.2)
+RESAMPLED_LENGTHS = (1, 2, 17, 2**14, 2**14 + 1, 70_000)
+# the same digest over each resampler's output at RESAMPLED_LENGTHS x PINNED_SEEDS
+RESAMPLED_DIGESTS = [
+    ("shuffle", lambda n, seed: shuffle(generate(ModelParams(model="simon", length=n, seed=9, alpha=0.2)), seed),
+     "65e5ca5a5ea394e17e69959e4757d890984bd1a426c84fd49d445837547fb459"),
+    ("bigram", lambda n, seed: generate_bigram(generate(_RESAMPLE_SOURCE), n, seed),
+     "d4ab7f52799a7bf2353c3e88ec7bb17f342af8b43f0d0041e3cac05176f66dea"),
+    ("zipf", lambda n, seed: generate_zipf_iid(1000, 1.1, n, seed),
+     "8aa6f35a7ac1b62b3302c848a5ed27607bc5e7773ae0374942d2c5c720242e29"),
+]
+
+
+@pytest.mark.parametrize("make,digest", [case[1:] for case in RESAMPLED_DIGESTS],
+                         ids=[case[0] for case in RESAMPLED_DIGESTS])
+def test_resampled_ids_pinned(make, digest):
+    h = hashlib.sha256()
+    for length in RESAMPLED_LENGTHS:
+        for seed in PINNED_SEEDS:
+            h.update(make(length, seed).tokens.astype(np.int64).tobytes())
     assert h.hexdigest() == digest
 
 
@@ -564,7 +613,7 @@ def bigram_oracle(corpus, length, seed):
         else:
             cur = corpus_list[int(u[step] * m_c)]
         out.append(cur)
-    return _resampled(np.array(out, dtype=np.int64), corpus)
+    return _resampled(np.array(out, dtype=id_dtype(length)), corpus)
 
 
 _BIGRAM_CORPORA = {
@@ -685,7 +734,7 @@ class TestRelabel:
 
     def test_resampled_takes_over_the_ids(self):
         source = TokenSequence(np.array([0, 1, 2, 3]), symbols=("a", "b", "c", "d"))
-        ids = np.array([3, 1, 3, 0])
+        ids = np.array([3, 1, 3, 0], dtype=id_dtype(4))
         out = _resampled(ids, source)
         assert out.tokens.tolist() == [0, 1, 0, 2]
         assert out.symbols == ("d", "b", "a")

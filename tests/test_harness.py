@@ -618,7 +618,7 @@ class TestCli:
         out = tmp_path / "fig"
         assert cli.main(["figure", "--input", str(sweep), "--id", "sweep_map", "--out", str(out)]) == 2
         assert "lrclab: error:" in capsys.readouterr().err
-        assert not (out / "sweep_map.csv").exists()
+        assert not out.exists()
 
     def test_analysis_removes_stale_curves(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
@@ -636,6 +636,7 @@ class TestCli:
         capsys.readouterr()
         assert cli.main(["figure", "--input", str(out), "--id", "acf", "--out", str(tmp_path / "fig")]) == 2
         assert "acf.csv not found" in capsys.readouterr().err
+        assert not (tmp_path / "fig").exists()
 
     @pytest.mark.parametrize("damage", [
         lambda r: json.dumps({k: v for k, v in r.items() if k != "m_n"}),
@@ -665,8 +666,7 @@ class TestCli:
         out = tmp_path / "fig"
         assert cli.main(["figure", "--input", str(analysis), "--id", "acf", "--out", str(out)]) == 2
         assert "lrclab: error:" in capsys.readouterr().err
-        assert not (out / "acf.csv").exists()
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("figure_id, name, damage", [
         ("acf", "acf.csv", lambda b: re.sub(rb"\n1,[^\n]*", b"\n1,abc", b, count=1)),
@@ -696,8 +696,15 @@ class TestCli:
         out = tmp_path / "fig"
         assert cli.main(["figure", "--input", str(analysis), "--id", figure_id, "--out", str(out)]) == 2
         assert "lrclab: error:" in capsys.readouterr().err
-        assert not (out / f"{figure_id}.csv").exists()
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("figure_id", ["acf", "rankfreq", "typetoken", "sweep_map"])
+    def test_figure_missing_input_makes_no_out_dir(self, tmp_path, capsys, monkeypatch, figure_id):
+        # the output directory is made only after every input has been read
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["figure", "--input", "nowhere", "--id", figure_id, "--out", "figout/deeper"]) == 2
+        assert "lrclab: error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_sweep_workers_below_one_usage_error(self, tmp_path, capsys, workers):

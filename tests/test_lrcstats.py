@@ -243,6 +243,35 @@ class TestExtractIntervals:
         assert extract_intervals(seq, [1, 0]) == ints
         assert extract_intervals(seq, np.array([0, 1])) == ints
 
+    @pytest.mark.parametrize("tokens,rare", [
+        ([0, 0], [0]),
+        ([0, 0, 0], [0, 5]),
+        ([3, 7, 3, 3, 7], [7, 3]),
+        (np.zeros(10**5, dtype=np.int64), [0]),
+        (np.random.default_rng(4).integers(0, 3, size=2**14 + 5), [0, 1, 2, 10**6]),
+    ])
+    def test_all_rare_gaps_are_a_broadcast(self, tokens, rare):
+        # every type present is rare, so every gap is 1: no position is gathered
+        seq = TokenSequence(np.array(tokens))
+        ints = extract_intervals(seq, rare)
+        assert ints.intervals.strides == (0,) and not ints.intervals.flags.writeable
+        assert np.array_equal(ints.intervals, gaps_oracle(seq.tokens, rare))
+
+    @pytest.mark.parametrize("length,outcome", [
+        (1, (DataError, "insufficient occurrences")),
+        (2, (CurveTooShortError, "too short")),
+        (200, (CurveTooShortError, "too short")),
+        (201, (DataError, "degenerate series")),
+        (10**5, (DataError, "degenerate series")),
+    ])
+    def test_all_rare_outcomes(self, length, outcome):
+        # below 200 intervals the curve is too short; from 200 on the
+        # constant series is degenerate
+        seq = TokenSequence(np.zeros(length, dtype=np.int64))
+        error, message = outcome
+        with pytest.raises(error, match=message):
+            acf_curve(extract_intervals(seq, select_rare_set(seq, n=2) if length > 1 else [0]))
+
 
 def gaps_oracle(tokens, rare):
     return np.diff(np.flatnonzero(np.isin(tokens, rare)))

@@ -2,25 +2,28 @@
 
 The corpus path keeps token ids in flat buffers and holds Python strings
 for one block of text at a time. The generators draw their random numbers
-a block at a time, write each block of int64 ids as soon as its draws are
-in, keep no whole-length array but the ids, the innovation positions and
-Pitman-Yor's int32 later-occurrence ids, and hand their ids to
-TokenSequence without a copy. Measured at 2e5 tokens (CPython 3.11, numpy
-2.4), in bytes a token, with the figure before these changes in
-parentheses:
+a block at a time, write each block of ids as soon as its draws are in,
+keep no whole-length array but the ids, the innovation positions and
+Pitman-Yor's later-occurrence ids, and hand their ids to TokenSequence
+without a copy. Every id array is int32 below 2**31 tokens. Measured at
+2e5 tokens (CPython 3.11, numpy 2.4), in bytes a token, with the figure
+before these changes in parentheses:
 
-    read_tokens 29 (93 while it held one Python object per token)
-    generate_bigram 30 (119 with one object per token, then 37)
-    generate: Simon alpha 0.1 13.3 (43, then 16.4), Simon alpha 0.4 15.5
-        (37, then 16.4), conjunct (0.68, 0.8) 12.7 (42, then 16.4),
-        Pitman-Yor (0.68, 0.8) and (0, 0.8) 20.1 (74, then 18.2: its
-        block temporaries now set the peak, and fall to 13.6 at 1e6);
-        Pitman-Yor and conjunct (0, 0) 8.0, the ids alone, as they draw
-        no random numbers (20.1 and 12.7 while they drew them)
-    shuffle 19 (39)
-    generate_zipf_iid, 50000 ranks, 16 (32)
-    type_stats: Simon alpha 0.1 2.4 (9.6, then 4.0), Pitman-Yor (0.68,
-        0.8) 0.9 (8.2), with the per-type scatters run block by block;
+    read_tokens 25.0 (93 while it held one Python object per token, then
+        28.8 with int64 ids)
+    generate_bigram 18.0 (119 with one object per token, then 37, then
+        29.8 with an int64 successor table and id buffer)
+    generate: Simon alpha 0.1 9.0 (43, then 16.4, then 13.3 with int64
+        ids), Simon alpha 0.4 11.1 (37, 16.4, 15.5), conjunct (0.68, 0.8)
+        8.4 (42, 16.4, 12.7), Pitman-Yor (0.68, 0.8) and (0, 0.8) 15.8
+        (74, then 18.2, then 20.1 with int64 ids: its block temporaries
+        set the peak; 9.7 at 1e6, against 13.6); Pitman-Yor and conjunct
+        (0, 0) 4.0, the ids alone, as they draw no random numbers (20.1
+        and 12.7 while they drew them, 8.0 with int64 ids)
+    shuffle 15.2 (39, then 19.2 with int64 ids)
+    generate_zipf_iid, 50000 ranks, 13.5 (32, then 17.5 with int64 ids)
+    type_stats: Simon alpha 0.1 2.6 (9.6, then 4.0), Pitman-Yor (0.68,
+        0.8) 1.2 (8.2), with the per-type scatters run block by block;
         Simon alpha 0.4 9.6 (16), as its 0.4 M types fill the three output
         arrays, which are now the per-label arrays themselves, uncopied
     rank_frequency, after type_stats: Simon alpha 0.4 3.6 (10.0), alpha
@@ -31,9 +34,11 @@ parentheses:
         clipped at the target and the ids kept in an array, not a set
     select_rare_set, extract_intervals and acf_curve, after type_stats, of
         an all-rare series, Pitman-Yor and conjunct (0, 0), which raise
-        "degenerate series": 9.0 (40, then 24), the bool gather and the
-        rare positions, which become the gaps in place; the constant
-        series is rejected before a float copy of it is made"""
+        "degenerate series": 1.5, select_rare_set's histogram of M / 16
+        levels (40, then 24, then 9.0 with the bool gather and the rare
+        positions): every gap is 1, so the gaps are a broadcast of 1 and
+        no whole-length array is made; the constant series is rejected
+        before a float copy of it is made"""
 
 import tracemalloc
 
@@ -46,12 +51,15 @@ from lrclab.lrcstats import acf_curve, extract_intervals, rank_frequency, select
 from lrclab.seqcore import DataError
 
 TOKENS = 200_000
-GENERATOR_BOUND = 24  # bytes a token, for every generator and shuffle
-CONSTANT_BOUND = 8.5  # bytes a token, the (a, b) models at (0, 0): the ids alone
+# Bytes a token. Each bound is the figure above plus the margin noted.
+GENERATOR_BOUND = 17  # Pitman-Yor, shuffle and zipf: 15.8 at most, margin 1.2
+UNIFORM_COPY_BOUND = 12  # Simon and conjunct: 11.1 at most, margin 0.9
+CONSTANT_BOUND = 4.5  # the (a, b) models at (0, 0), the int32 ids alone: 4.0, margin 0.5
+BIGRAM_BOUND = 20  # generate_bigram: 18.0, margin 2
 TYPE_STATS_BOUND = 6  # bytes a token, where the types are a small share
 MANY_TYPES_BOUND = 11  # bytes a token, type_stats of Simon alpha 0.4
 RANK_FREQUENCY_BOUND = 5  # bytes a token, rank_frequency of Simon alpha 0.4
-INTERVALS_BOUND = 10  # bytes a token, where every token is rare
+INTERVALS_BOUND = 2  # bytes a token, where every token is rare: 1.5, margin 0.5
 
 
 def peak_bytes_per_token(fn):
@@ -84,7 +92,7 @@ def test_generate_bigram(text):
     corpus = read_tokens(text)
     per_token, seq = peak_bytes_per_token(lambda: generate_bigram(corpus, TOKENS, 5))
     assert seq.m == TOKENS
-    assert per_token < 60
+    assert per_token <= BIGRAM_BOUND
 
 
 @pytest.mark.parametrize("model,params", [
@@ -98,7 +106,7 @@ def test_generate(simon, model, params):
     p = ModelParams(model=model, length=TOKENS, seed=4, **params)
     per_token, seq = peak_bytes_per_token(lambda: generate(p))
     assert seq.m == TOKENS
-    assert per_token <= GENERATOR_BOUND
+    assert per_token <= (GENERATOR_BOUND if model == "pitman_yor" else UNIFORM_COPY_BOUND)
 
 
 @pytest.mark.parametrize("model", ["pitman_yor", "conjunct"])

@@ -24,6 +24,7 @@ from lrclab.seqcore import (
     RankFrequency,
     TokenSequence,
     TypeTokenCurve,
+    id_dtype,
     log_grid,
     moments,
     open_output,
@@ -96,7 +97,7 @@ class TestTokenSequence:
         assert seq.tokens.tolist() == [0, 1, 0]
 
     def test_adopt_freezes_without_copy(self):
-        arr = np.array([0, 1, 0], dtype=np.int64)
+        arr = np.array([0, 1, 0], dtype=id_dtype(3))
         seq = TokenSequence._adopt(arr, symbols=["a", "b"])
         assert np.shares_memory(arr, seq.tokens) and not seq.tokens.flags.writeable
         assert seq == TokenSequence(np.array([0, 1, 0]), symbols=("a", "b"))
@@ -104,7 +105,7 @@ class TestTokenSequence:
     @pytest.mark.parametrize("tokens,symbols", [([], None), ([0, -1], None), ([0, 3], ("a", "b"))])
     def test_adopt_validates(self, tokens, symbols):
         with pytest.raises(DataError):
-            TokenSequence._adopt(np.array(tokens, dtype=np.int64), symbols=symbols)
+            TokenSequence._adopt(np.array(tokens, dtype=id_dtype(len(tokens))), symbols=symbols)
 
     def test_first_occurrence_ids(self):
         seq = sequence_from_surface(["b", "a", "b", "c"])
@@ -531,3 +532,42 @@ class TestProducersReturnCanonicalIds:
         assert_canonical(read_tokens(" ".join(words)))
         doc = parse_chat("".join(f"*CHI:\t{w} .\n" for w in words) + "*CHI:\tend .\n")
         assert_canonical(extract_speaker_with_stats(doc, {"CHI"})[0])
+
+
+class TestIdDtype:
+    """Token ids are stored as id_dtype(m): int32 below 2**31 tokens. The
+    boundary itself is tested on the rule alone, in test_genmodels."""
+
+    def test_producers(self):
+        text = "a b c a B c d " * 50
+        made = [generate(ModelParams(model="simon", length=3000, seed=1, alpha=0.1))]
+        for model in ("pitman_yor", "conjunct"):
+            for a, b in ((0.68, 0.8), (0.0, 0.0)):
+                made.append(generate(ModelParams(model=model, length=3000, seed=1, a=a, b=b)))
+        made += [
+            shuffle(made[0], 2),
+            generate_zipf_iid(100, 1.0, 3000, 2),
+            generate_bigram(made[0], 3000, 2),
+            read_tokens(text),
+            extract_speaker_with_stats(parse_chat("*CHI:\tend end x .\n"), {"CHI"})[0],
+            TokenSequence(np.array([0, 1, 0], dtype=np.int64)),
+            TokenSequence([0, 1, 0]),
+            TokenSequence(np.array([0, 1, 0], dtype=np.uint8)),
+        ]
+        for seq in made:
+            assert seq.tokens.dtype == id_dtype(seq.m) == np.int32
+
+    def test_constructor_narrows_its_copy(self):
+        arr = np.array([0, 2**31 - 1, 0], dtype=np.int64)
+        seq = TokenSequence(arr)
+        assert seq.tokens.dtype == np.int32 and seq.tokens.tolist() == arr.tolist()
+
+    def test_constructor_rejects_an_id_that_does_not_fit(self):
+        with pytest.raises(DataError, match="symbol id out of range"):
+            TokenSequence(np.array([0, 2**31]))
+
+    @pytest.mark.parametrize("cls,dtype", [(TokenSequence, np.int64), (TokenSequence, np.uint32),
+                                           (IntervalSequence, np.int32), (RankFrequency, np.int32)])
+    def test_adopt_takes_only_the_fields_dtype(self, cls, dtype):
+        with pytest.raises(AssertionError):
+            cls._adopt(np.array([2, 1], dtype=dtype))
