@@ -100,13 +100,23 @@ def select_rare_set(seq: TokenSequence, n: int = DEFAULT_RARITY) -> np.ndarray:
     # covered[f]: tokens of all types with frequency <= f. Every type below
     # the first level f where that exceeds the target is taken; the prefix
     # ends inside level f, whose types alone need ordering by first position.
-    # A type above the target crosses it alone, so frequencies are clipped at
-    # target + 1; if f lands there, the level is the least such frequency.
-    hist = np.bincount(np.minimum(freqs, target + 1))
-    covered = np.cumsum(hist * np.arange(hist.size))
+    # A type above the target crosses it alone, so when there is one, the
+    # frequencies are clipped at top + 1, where `top` is the largest at or
+    # below the target: that overflow level is weighted target + 1 so that
+    # it crosses, and if f lands there, the level is the least frequency
+    # above the target. The histogram becomes the token counts in place.
+    top = int(freqs.max())
+    if top > target:
+        top = int(np.max(freqs, where=freqs <= target, initial=0))
+        covered = np.bincount(np.minimum(freqs, top + 1))
+    else:
+        covered = np.bincount(freqs)
+    covered[top + 1 :] *= target + 1
+    covered[: top + 1] *= np.arange(top + 1)
+    np.cumsum(covered, out=covered)
     level = int(np.searchsorted(covered, target, side="right"))
     below = int(covered[level - 1])
-    if level > target:
+    if level > top:
         level = int(freqs[freqs > target].min())
     take = -(-(target - below) // level)  # ceiling: the last type may overshoot
     at_level = np.flatnonzero(freqs == level)

@@ -1,6 +1,7 @@
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -121,7 +122,8 @@ def oracle_extract(utterances, speakers, drop_codes):
 # only "\n" ends a line.
 _SEPARATORS = (" ", "  ", "\t", "\r", "\x1c", "\x85", "\xa0", "\u2028", "\u3000")
 _WORDS = (
-    "ball", "Ball", "ΟΔΟΣ", "ΑΣ", "Σ", "İ", "ß", "ǅ", "xxx", "XXX", "Www", "yyy",
+    "ball", "Ball", "ΟΔΟΣ", "ΑΣ", "Σ", "İ", "ß", "ǅ", "xxx", "XXX", "Www", "yyy", "Doggie-doggie",
+    "abcdefgh", "abcdefghi", "abcdefgΣ",
     "&", "&um", "&=laughs", "..?", ".", "?", "!", "a.", ".a", "a&", "<&x>", "<the", "ball>",
     "[?]", "[", "]", "[: doggie", "points]", "[//]", "[=", "x]y", "<", ">",
 )
@@ -305,7 +307,8 @@ class TestBulkCleaningMatchesOracle:
     @given(
         transcripts(),
         st.sampled_from(({"CHI"}, {"mot"}, {"CHI", "MOT", "AB1"})),
-        st.sampled_from((DEFAULT_DROP_CODES, {"BALL", "&"}, set())),
+        # a code over 8 bytes, and codes that match only once lowercased
+        st.sampled_from((DEFAULT_DROP_CODES, {"BALL", "&"}, {"DOGGIE-DOGGIE", "wWw"}, set())),
     )
     @settings(max_examples=400, deadline=None)
     def test_generated_transcripts(self, text, speakers, drop_codes):
@@ -345,6 +348,8 @@ class TestBulkCleaningMatchesOracle:
             "*CHI:\ta\x1cb\x85c\xa0d\u2028e\u3000f .\n",
             "*CHI:\tΟΔΟΣ ΑΣ\x85Σ İ ǅ .\n",
             "*CHI:\t& ..? a. <&x> &um ?!.\n",
+            "*CHI:\tabcdefg abcdefgh ABCDEFGHI abcdefghijklmnopq xxx Abcdefgh\n\tabcdefghI .\n",
+            "*CHI:\ta a\x00 a\x00\x00 A\x00 abcdefgΣ abcdefgİ ABCDEFGΣ .\n",
         ],
     )
     def test_edge_cases(self, text):
@@ -354,6 +359,28 @@ class TestBulkCleaningMatchesOracle:
         seq, n_dropped = extract_speaker_with_stats(doc, {"CHI"})
         assert (list(seq.surfaces()), n_dropped) == (kept, dropped)
         assert tuple((u.speaker, u.tokens) for u in doc.utterances) == want[0]
+
+    @pytest.mark.parametrize(
+        "text,drop_codes",
+        [
+            ("*CHI:\txxx XXX yyy .\n*MOT:\tfine .\n", DEFAULT_DROP_CODES),
+            ("*CHI:\tDoggie-Doggie\n\tdoggie-DOGGIE www .\n", {"DOGGIE-DOGGIE", "wWw"}),
+            ("*CHI:\t.\n*CHI:\t&um\n", DEFAULT_DROP_CODES),
+        ],
+    )
+    def test_every_token_dropped(self, text, drop_codes):
+        want = oracle_parse_chat(text)
+        with pytest.raises(DataError) as oracle_error:
+            oracle_extract(want[0], {"CHI"}, drop_codes)
+        with pytest.raises(DataError) as got:
+            extract_speaker_with_stats(parse_chat(text), {"CHI"}, drop_codes)
+        assert str(got.value) == str(oracle_error.value) == "no tokens for speakers"
+
+    def test_drop_codes_that_are_no_token(self):
+        # a code holding whitespace, or empty, never equals a token
+        doc = parse_chat("*CHI:\tthe ball the\n")
+        seq, dropped = extract_speaker_with_stats(doc, {"CHI"}, {"the ball", "", " ", "BALL"})
+        assert (list(seq.surfaces()), dropped) == (["the", "the"], 1)
 
     def test_extraction_builds_no_utterances(self):
         doc = parse_chat_file(DATA / "sample.cha")
@@ -394,11 +421,20 @@ def read_tokens_oracle(text):
 
 
 _ALL_SPACES = "".join(c for c in map(chr, range(0x110000)) if c.isspace())
+# Tokens at the edges of the 8-byte keys: 7, 8, 9 and 17 bytes; equal but for
+# trailing NUL or control bytes; a character of 2 or 3 bytes (once
+# lowercased) across byte 8.
+_KEY_EDGE_TOKENS = (
+    "abcdefg", "abcdefgh", "ABCDEFGH", "abcdefghi", "abcdefghijklmnopq",
+    "a", "a\x00", "a\x00\x00", "A\x00", "a\x01", "a\x1b", "\x00",
+    "abcdefgΣ", "abcdefgİ", "ABCDEFGΣ",
+)
 _TOKEN_TEXT = (
     "ΟΔΟΣ\x1cΑΣ\x85Σ\u3000aΣ\r\nΣa ΣΣ\tİx\r\nǅ "
     + "Σ".join(_ALL_SPACES)
     + "Σ"
     + "aΣ".join(_ALL_SPACES)
+    + " ".join(_KEY_EDGE_TOKENS * 2)
 )
 
 
@@ -409,6 +445,7 @@ class TestReadTokensAtBlockEdges:
             st.one_of(
                 st.sampled_from(("Σ", "aΣ", "ΑΣ", "Σa", "İ", "ǅ", "x", "\r\n", "\x1c", "\x85", "\u3000", " ")),
                 st.sampled_from(_ALL_SPACES),
+                st.sampled_from(_KEY_EDGE_TOKENS),
             ),
             min_size=1,
             max_size=30,
@@ -431,3 +468,38 @@ def test_space_pattern_is_str_split_whitespace():
     """Blocks are cut where re's \\s matches; str.split() must cut there too."""
     matched = "".join(corpusio._SPACE_RE.findall("".join(map(chr, range(0x110000)))))
     assert matched == _ALL_SPACES
+
+
+def test_wide_spaces_are_str_split_whitespace():
+    """The factorizer finds ASCII whitespace in the bytes and turns the rest,
+    listed in the module, into spaces first."""
+    assert len(corpusio._WIDE_SPACES) == len(set(corpusio._WIDE_SPACES))
+    assert set(corpusio._WIDE_SPACES) == {c for c in map(chr, range(0x110000)) if c.isspace() and ord(c) > 127}
+    ascii_spaces = {c for c in _ALL_SPACES if ord(c) <= 127}
+    assert ascii_spaces == set(map(chr, [*range(9, 14), *range(28, 33)]))
+
+
+@pytest.mark.parametrize("block_chars", [64, 1 << 18])
+def test_many_types_grow_the_table(monkeypatch, block_chars):
+    # about 6000 types, short and long, over several doublings of the
+    # table, in blocks that each bring new types and repeat old ones
+    monkeypatch.setattr(corpusio, "_BLOCK_CHARS", block_chars)
+    rng = np.random.default_rng(5)
+    stems = [f"w{i}" for i in range(4000)] + [f"Word{i}-{'x' * (i % 13)}" for i in range(2000)]
+    picks = rng.zipf(1.3, 30_000) % len(stems)
+    text = "\n".join(stems[i] for i in picks.tolist()) + "\n"
+    seq = read_tokens(text)
+    assert seq == read_tokens_oracle(text)
+    assert len(seq.symbols) > 2048
+
+
+def test_readers_bypass_sequence_from_surface(monkeypatch):
+    """The readers use the factorizer, so the oracle comparisons above do not
+    compare sequence_from_surface with itself."""
+    def fail(surfaces):
+        raise AssertionError("sequence_from_surface called")
+
+    monkeypatch.setattr(corpusio, "sequence_from_surface", fail)
+    assert read_tokens(ROMEO).symbols == ("oh", "romeo", "wherefore", "art", "thou")
+    seq, dropped = extract_speaker_with_stats(parse_chat("*CHI:\txxx Ball ball .\n"), {"CHI"})
+    assert (seq.symbols, dropped) == (("ball",), 1)

@@ -1,7 +1,8 @@
 """Peak traced memory per token of the whole-sequence stages.
 
-The corpus path keeps token ids in flat buffers and holds Python strings
-for one block of text at a time. The generators draw their random numbers
+The corpus path keeps token ids in flat buffers and holds one block of
+text at a time; its ids come from 8-byte keys and one hash table, with no
+Python string but one per type. The generators draw their random numbers
 a block at a time, write each block of ids as soon as its draws are in,
 keep no whole-length array but the ids, the innovation positions and
 Pitman-Yor's later-occurrence ids, and hand their ids to TokenSequence
@@ -9,8 +10,11 @@ without a copy. Every id array is int32 below 2**31 tokens. Measured at
 2e5 tokens (CPython 3.11, numpy 2.4), in bytes a token, with the figure
 before these changes in parentheses:
 
-    read_tokens 25.0 (93 while it held one Python object per token, then
-        28.8 with int64 ids)
+    read_tokens 26.0 (93 while it held one Python object per token, then
+        28.8 with int64 ids, then 25.0 through sequence_from_surface's
+        dict: the keys and the table weigh less than the dict and its
+        strings, but at this length each block's temporaries set the
+        peak; 13.5 at 2e6, against 18.3)
     generate_bigram 18.0 (119 with one object per token, then 37, then
         29.8 with an int64 successor table and id buffer)
     generate: Simon alpha 0.1 9.0 (43, then 16.4, then 13.3 with int64
@@ -29,15 +33,18 @@ before these changes in parentheses:
     rank_frequency, after type_stats: Simon alpha 0.4 3.6 (10.0), alpha
         0.1 0.9 (2.5), with the sorted frequencies handed over uncopied and
         checked for order without an int64 difference array
-    select_rare_set, after type_stats: Simon alpha 0.1 1.7 (9.8),
-        Pitman-Yor (0.68, 0.8) 1.5 (7.7), with the frequency histogram
-        clipped at the target and the ids kept in an array, not a set
+    select_rare_set, after type_stats: Simon alpha 0.1 0.9 (9.8, then
+        1.7), Pitman-Yor (0.68, 0.8) 1.0 (7.7, then 1.5), with the
+        frequency histogram clipped at the largest frequency at or below
+        the target and turned into token counts in place, and the ids kept
+        in an array, not a set
     select_rare_set, extract_intervals and acf_curve, after type_stats, of
         an all-rare series, Pitman-Yor and conjunct (0, 0), which raise
-        "degenerate series": 1.5, select_rare_set's histogram of M / 16
-        levels (40, then 24, then 9.0 with the bool gather and the rare
-        positions): every gap is 1, so the gaps are a broadcast of 1 and
-        no whole-length array is made; the constant series is rejected
+        "degenerate series": 0.02, a few kilobytes (40, then 24, then 9.0
+        with the bool gather and the rare positions, then 1.5 with
+        select_rare_set's histogram of M / 16 levels, two levels now):
+        every gap is 1, so the gaps are a broadcast of 1 and no
+        whole-length array is made; the constant series is rejected
         before a float copy of it is made"""
 
 import tracemalloc
@@ -59,7 +66,7 @@ BIGRAM_BOUND = 20  # generate_bigram: 18.0, margin 2
 TYPE_STATS_BOUND = 6  # bytes a token, where the types are a small share
 MANY_TYPES_BOUND = 11  # bytes a token, type_stats of Simon alpha 0.4
 RANK_FREQUENCY_BOUND = 5  # bytes a token, rank_frequency of Simon alpha 0.4
-INTERVALS_BOUND = 2  # bytes a token, where every token is rare: 1.5, margin 0.5
+INTERVALS_BOUND = 0.1  # bytes a token, where every token is rare: 0.02, margin 0.08
 
 
 def peak_bytes_per_token(fn):
