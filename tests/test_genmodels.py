@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from lrclab import cli, genmodels
@@ -674,6 +676,65 @@ class TestBigram:
         a = generate_bigram(corpus, 3000, 11)
         b = generate_bigram(corpus, 3000, 11)
         assert np.array_equal(a.tokens, b.tokens)
+
+
+# lanes of 8 steps in spans of 64, so that short sequences cross many
+# lane and span edges; the cycle's chains never meet, so every lane after
+# a wrong guess is repaired to its end
+_LANE_CORPORA = {
+    **_BIGRAM_CORPORA,
+    "alternating": TokenSequence(np.array([0, 1, 0, 1])),
+    "cycle": TokenSequence(np.arange(300) % 3),
+}
+
+
+class TestBigramLanes:
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """Lanes of 8 in spans of 64; lists the start of every scalar walk."""
+        monkeypatch.setattr(genmodels, "_LANE", 8)
+        monkeypatch.setattr(genmodels, "_SPAN", 64)
+        walks = []
+        walk = genmodels._BigramChain.walk
+
+        def recorded(self, cur, xs, row):
+            walks.append(cur)
+            walk(self, cur, xs, row)
+
+        monkeypatch.setattr(genmodels._BigramChain, "walk", recorded)
+        return walks
+
+    @pytest.mark.parametrize("name", sorted(_LANE_CORPORA))
+    @pytest.mark.parametrize("length", [7, 8, 9, 16, 17, 64, 65, 192, 193, 1000])
+    def test_matches_per_step_oracle(self, walks, name, length):
+        corpus = _LANE_CORPORA[name]
+        for seed in range(6):
+            got = generate_bigram(corpus, length, seed)
+            want = bigram_oracle(corpus, length, seed)
+            assert got == want
+            assert list(got.surfaces()) == list(want.surfaces())
+
+    def test_cycle_is_repaired(self, walks):
+        got = generate_bigram(_LANE_CORPORA["cycle"], 1000, 1)
+        assert got == bigram_oracle(_LANE_CORPORA["cycle"], 1000, 1)
+        # a lane guessed in the wrong phase never meets the true chain, so
+        # the scalar pass repairs it
+        assert walks
+
+    def test_crosses_a_span_edge(self):
+        length = genmodels._SPAN + 3
+        corpus = _BIGRAM_CORPORA["unnamed"]
+        assert generate_bigram(corpus, length, 4) == bigram_oracle(corpus, length, 4)
+
+
+@given(st.lists(st.one_of(st.sampled_from([0, 2**16 - 1, 2**16, 2**31 - 1]),
+                          st.integers(0, 2**31 - 1), st.integers(0, 2**17)),
+                min_size=1, max_size=300))
+@settings(max_examples=100, deadline=None)
+def test_radix_order_is_stable_argsort(keys):
+    keys = np.array(keys, dtype=np.int32)
+    want = np.argsort(keys, kind="stable")
+    assert np.array_equal(genmodels._sorted_by(keys, np.arange(keys.size)), want)
 
 
 class TestShuffle:

@@ -15,8 +15,11 @@ before these changes in parentheses:
         dict: the keys and the table weigh less than the dict and its
         strings, but at this length each block's temporaries set the
         peak; 13.5 at 2e6, against 18.3)
-    generate_bigram 18.0 (119 with one object per token, then 37, then
-        29.8 with an int64 successor table and id buffer)
+    generate_bigram 16.9 (119 with one object per token, then 37, then
+        29.8 with an int64 successor table and id buffer, then 18.0 with
+        a copy of the corpus in the table, per-step draws of 2**14
+        uniforms and int64 starts and widths; it now holds a span of up
+        to 2**20 uniforms, 8 bytes a token at this length)
     generate: Simon alpha 0.1 9.0 (43, then 16.4, then 13.3 with int64
         ids), Simon alpha 0.4 11.1 (37, 16.4, 15.5), conjunct (0.68, 0.8)
         8.4 (42, 16.4, 12.7), Pitman-Yor (0.68, 0.8) and (0, 0.8) 15.8
@@ -62,7 +65,7 @@ TOKENS = 200_000
 GENERATOR_BOUND = 17  # Pitman-Yor, shuffle and zipf: 15.8 at most, margin 1.2
 UNIFORM_COPY_BOUND = 12  # Simon and conjunct: 11.1 at most, margin 0.9
 CONSTANT_BOUND = 4.5  # the (a, b) models at (0, 0), the int32 ids alone: 4.0, margin 0.5
-BIGRAM_BOUND = 20  # generate_bigram: 18.0, margin 2
+BIGRAM_BOUND = 18  # generate_bigram: 16.9, margin 1.1
 TYPE_STATS_BOUND = 6  # bytes a token, where the types are a small share
 MANY_TYPES_BOUND = 11  # bytes a token, type_stats of Simon alpha 0.4
 RANK_FREQUENCY_BOUND = 5  # bytes a token, rank_frequency of Simon alpha 0.4
