@@ -39,7 +39,6 @@ _WIDE_SPACES = (
 )
 _NEWLINE_RE = re.compile("\n")
 
-_TIER_RE = re.compile(r"^\*([A-Z0-9]{2,3}):[ \t]?(.*)$")
 # One annotation per match; it never crosses "\n", so it ends within its
 # utterance.
 _BRACKETED_RE = re.compile(r"\[[^\]\n]*\]")
@@ -104,6 +103,42 @@ def _blocks(text: str, sep: re.Pattern) -> Iterator[str]:
         yield text[pos : m.start()]
         pos = m.end()
     yield text[pos:]
+
+
+# The ASCII whitespace of str.isspace(): bytes 9-13 and 28-32.
+_ASCII_SPACES = bytes(range(9, 14)) + bytes(range(28, 33))
+
+
+def _ascii_space(raw: np.ndarray) -> np.ndarray:
+    """Whether each byte is in _ASCII_SPACES."""
+    shifted = raw - 9
+    space = shifted < 5
+    np.subtract(raw, 28, out=shifted)
+    space |= shifted < 5
+    return space
+
+
+def _skip_spaces(data: bytes, space: np.ndarray, pos: np.ndarray, stop: np.ndarray, step: int) -> np.ndarray:
+    """Each position moved by `step` (1 or -1) toward its stop while it
+    passes over ASCII whitespace: with step 1 the byte at the position, with
+    step -1 the byte before it. A few steps go for all positions at once;
+    longer runs of whitespace are stripped as bytes."""
+    pos = pos.copy()
+    todo = np.flatnonzero(pos != stop)
+    for _ in range(8):
+        if not todo.size:
+            return pos
+        todo = todo[space[pos[todo] - (step < 0)]]
+        pos[todo] += step
+        todo = todo[pos[todo] != stop[todo]]
+    for j in todo.tolist():
+        if step > 0:
+            run = data[pos[j] : stop[j]]
+            pos[j] += len(run) - len(run.lstrip(_ASCII_SPACES))
+        else:
+            run = data[stop[j] : pos[j]]
+            pos[j] -= len(run) - len(run.rstrip(_ASCII_SPACES))
+    return pos
 
 
 # Keys of tokens: the UTF-8 bytes of a token of up to 8 bytes, padded with
@@ -198,11 +233,7 @@ class _Factorizer:
                 low = low.replace(space, " ")
         data = b" " + low.encode() + _SPACES8
         raw = np.frombuffer(data, dtype=np.uint8)
-        # whitespace is bytes 9-13 and 28-32; the text has some before and after
-        shifted = raw - 9
-        space = shifted < 5
-        np.subtract(raw, 28, out=shifted)
-        space |= shifted < 5
+        space = _ascii_space(raw)  # the text has some before and after
         edges = np.flatnonzero(space[1:] != space[:-1])
         edges += 1
         starts, ends = edges[0::2], edges[1::2]
@@ -276,6 +307,133 @@ def _clean(text: str) -> str:
     return _DROPPED_TOKEN_RE.sub("", text)
 
 
+# The tier mode a line sets, by its first byte: '*' an utterance, '%' a
+# dependent tier, '@' a header. A tab-indented line continues the mode
+# before it; 0 is no tier yet.
+_UTTERANCE, _DEPENDENT, _HEADER = 1, 2, 3
+# One entry per byte value: whether it is a speaker code character [A-Z0-9].
+_CODE_BYTES = bytes(c in b"ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789" for c in range(256))
+_TIER_CUT_RE = re.compile(r"\n(?=\*)")
+
+
+class _ChatReader:
+    """The codes, cleaned utterance text and headers of a transcript, read
+    one block at a time: `add` each block, cut just before a tier line, then
+    take the `document` once.
+
+    A block is classified in numpy over its UTF-8 bytes: each line's first
+    byte gives its kind, the tier mode is carried down the lines with a
+    running maximum, and the utterances' bytes are gathered with one mask. Only
+    headers, header continuations, lines that may start or end in a Unicode
+    space (a byte of 0x80 or above at an edge) and lines with more than 8
+    spaces at an edge take a Python step. No utterance crosses a cut, so
+    each block is cleaned on its own."""
+
+    def __init__(self) -> None:
+        self._headers: list[str] = []
+        self._pieces: list[str] = []  # each block's cleaned text, "\n" before every utterance but the first
+        self._keys: list[np.ndarray] = []  # each utterance's code, b1 << 16 | b2 << 8 | (b3 or 0)
+        self._utterances = 0
+        self._lines = 0  # in the blocks before
+
+    def add(self, block: str) -> None:
+        data = block.encode("utf-8", "surrogatepass")
+        n = len(data)
+        # Padded with bytes 0, neither code nor space, so that a tier line's
+        # code may be read past the end of the block.
+        raw = np.frombuffer(data + bytes(8), dtype=np.uint8)
+        newlines = np.flatnonzero(raw[:n] == 0x0A)
+        starts = np.concatenate(([0], newlines + 1))
+        ends = np.append(newlines, n)
+        first = raw[starts]
+        tier, header = first == 0x2A, first == 0x40
+        sets = tier * _UTTERANCE + (first == 0x25) * _DEPENDENT + header * _HEADER
+        # A line that sets a mode marks 4 * (its number) + the mode, so the
+        # running maximum holds the mark of the last such line. Every block
+        # but the first starts with a tier line, so no mode carries over.
+        marks = np.where(sets > 0, 4 * np.arange(1, starts.size + 1) + sets, 0)
+        mode = np.maximum.accumulate(marks) & 3
+
+        # Every other line is blank or, stripped as by str.strip(), the bytes
+        # [text_lo, text_hi).
+        loose = np.flatnonzero(sets == 0)
+        lo, hi = starts[loose], ends[loose]
+        space = _ascii_space(raw)
+        text_lo = _skip_spaces(data, space, lo, hi, 1)
+        text_hi = _skip_spaces(data, space, hi, text_lo, -1)
+        blank = text_lo == hi
+        for j in np.flatnonzero(~blank & ((raw[text_lo] >= 0x80) | (raw[text_hi - 1] >= 0x80))).tolist():
+            line = data[lo[j] : hi[j]].decode("utf-8", "surrogatepass")
+            if not line.strip():
+                blank[j] = True
+                continue
+            lead, trail = line[: len(line) - len(line.lstrip())], line[len(line.rstrip()) :]
+            text_lo[j] = lo[j] + len(lead.encode("utf-8", "surrogatepass"))
+            text_hi[j] = hi[j] - len(trail.encode("utf-8", "surrogatepass"))
+        tab = first[loose] == 0x09
+        loose_mode = mode[loose]
+
+        # A tier line is '*', 2 or 3 code characters and ':'. Its text
+        # follows one optional space or tab and ends before any last '\r's.
+        at = starts[tier]
+        code = np.frombuffer(_CODE_BYTES, dtype=bool)
+        b1, b2, b3, b4 = raw[at + 1], raw[at + 2], raw[at + 3], raw[at + 4]
+        two = code[b1] & code[b2] & (b3 == 0x3A)
+        malformed = ~two & ~(code[b1] & code[b2] & code[b3] & (b4 == 0x3A))
+        stray = ~blank & (~tab | (loose_mode == 0))
+        bad = np.concatenate((np.flatnonzero(tier)[malformed], loose[stray]))
+        if bad.size:
+            i = int(bad.min())
+            if tier[i]:
+                message = "malformed tier line"
+                if b":" not in data[starts[i] : ends[i]]:
+                    message += " (no ':' after speaker)"
+            else:
+                message = "continuation without a tier" if first[i] == 0x09 else "unclassified line"
+            raise ChatParseError(self._lines + i + 1, message)
+        self._lines += starts.size
+
+        tier_lo = at + np.where(two, 4, 5)
+        tier_lo += (raw[tier_lo] == 0x20) | (raw[tier_lo] == 0x09)
+        tier_hi = ends[tier]
+        while (cr := np.flatnonzero(raw[tier_hi - 1] == 0x0D)).size:
+            tier_hi[cr] -= 1
+        continued = ~blank & tab
+        cont = continued & (loose_mode == _UTTERANCE)
+        cont_lo, cont_hi = text_lo[cont], text_hi[cont]
+        # Each kept run of bytes starts one byte early, with its separator
+        # written there: "\n" before an utterance, " " before a continuation.
+        # The runs are disjoint, so the sorted edges alternate start and end.
+        utter = raw[:n].copy()
+        utter[tier_lo - 1] = 0x0A
+        utter[cont_lo - 1] = 0x20
+        edges = np.sort(np.concatenate((tier_lo - 1, tier_hi, cont_lo - 1, cont_hi)))
+        keep = np.repeat(np.arange(edges.size + 1) % 2 == 1, np.diff(edges, prepend=0, append=n))
+        piece = _clean(utter[keep].tobytes().decode("utf-8", "surrogatepass"))
+        self._pieces.append(piece if self._utterances else piece[1:])
+        self._keys.append(b1.astype(np.int32) << 16 | b2.astype(np.int32) << 8 | np.where(two, 0, b3))
+        self._utterances += at.size
+
+        heading = header.copy()
+        heading[loose[continued & (loose_mode == _HEADER)]] = True
+        for i in np.flatnonzero(heading).tolist():
+            line = data[starts[i] : ends[i]].decode("utf-8", "surrogatepass")
+            if header[i]:
+                self._headers.append(line.rstrip("\r"))
+            else:
+                self._headers[-1] += " " + line.strip()
+
+    def document(self) -> ChatDocument:
+        # Each distinct code is decoded and interned once. (np.unique would
+        # import numpy.ma, about 1 MB, on its first call in a process.)
+        keys = np.concatenate(self._keys)
+        ordered = np.sort(keys)
+        distinct = ordered[np.diff(ordered, prepend=-1) != 0]
+        names = [sys.intern(key.to_bytes(3, "big").rstrip(b"\0").decode()) for key in distinct.tolist()]
+        codes = tuple(map(names.__getitem__, np.searchsorted(distinct, keys).tolist()))
+        return ChatDocument(codes, "".join(self._pieces), tuple(self._headers))
+
+
 def parse_chat(text: str) -> ChatDocument:
     """Parse CHAT-style transcript text.
 
@@ -284,52 +442,10 @@ def parse_chat(text: str) -> ChatDocument:
     continuations), and tab-indented lines continue the preceding tier.
     Any other non-blank line raises a located error.
     """
-    headers: list[str] = []
-    codes: list[str] = []
-    # Raw utterance text: "\n" opens each utterance, " " each continuation.
-    # Each block's pieces are joined before the next block is split.
-    joined: list[str] = []
-    mode: str | None = None  # "utterance" | "dependent" | "header"
-    intern = sys.intern  # one string per speaker code, not per utterance
-
-    lineno = 0
-    for block in _blocks(text, _NEWLINE_RE):
-        pieces: list[str] = []
-        for raw in block.split("\n"):
-            lineno += 1
-            line = raw.rstrip("\r")
-            if not line.strip():
-                continue
-            first = line[0]
-            if first == "@":
-                headers.append(line)
-                mode = "header"
-            elif first == "*":
-                m = _TIER_RE.match(line)
-                if m is None:
-                    if ":" not in line:
-                        raise ChatParseError(lineno, "malformed tier line (no ':' after speaker)")
-                    raise ChatParseError(lineno, "malformed tier line")
-                codes.append(intern(m.group(1)))
-                pieces += ("\n", m.group(2))
-                mode = "utterance"
-            elif first == "%":
-                mode = "dependent"
-            elif first == "\t":
-                if mode == "utterance":
-                    pieces += (" ", line.strip())
-                elif mode == "dependent":
-                    continue
-                elif mode == "header" and headers:
-                    headers[-1] = headers[-1] + " " + line.strip()
-                else:
-                    raise ChatParseError(lineno, "continuation without a tier")
-            else:
-                raise ChatParseError(lineno, "unclassified line")
-        joined.append("".join(pieces))
-    # An annotation may cross a block edge, so the cleaning sees all
-    # utterances at once. The first utterance's "\n" is dropped last.
-    return ChatDocument(tuple(codes), _clean("".join(joined))[1:], tuple(headers))
+    reader = _ChatReader()
+    for block in _blocks(text, _TIER_CUT_RE):
+        reader.add(block)
+    return reader.document()
 
 
 def parse_chat_file(path: str | Path) -> ChatDocument:

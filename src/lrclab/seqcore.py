@@ -13,7 +13,7 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO, TypeVar
 
@@ -382,8 +382,17 @@ def _csv_text(header: str, rows: Iterable[str]) -> str:
 
 
 def _write_csv(path: str | Path, header: str, rows: Iterable[str]) -> None:
+    """The bytes of _csv_text(header, rows), written _BLOCK rows at a time."""
+    rows = iter(rows)
     with open_output(path) as fh:
-        fh.write(_csv_text(header, rows))
+        fh.write(header + "\n")
+        while block := list(islice(rows, _BLOCK)):
+            fh.write("\n".join(block) + "\n")
+
+
+def _items(values: np.ndarray) -> Iterator:
+    """The values of a 1-d array as Python scalars, converted _BLOCK at a time."""
+    return chain.from_iterable(values[lo:hi].tolist() for lo, hi in _spans(0, values.size))
 
 
 def _read_csv(path: str | Path, expected_header: str) -> list[list[str]]:
@@ -402,7 +411,7 @@ def write_acf_csv(curve: AcfCurve, path: str | Path) -> None:
     _write_csv(
         path,
         "s,c",
-        (f"{s},{c!r}" for s, c in zip(curve.offsets.tolist(), curve.values.tolist())),
+        (f"{s},{c!r}" for s, c in zip(_items(curve.offsets), _items(curve.values))),
     )
 
 
@@ -419,15 +428,15 @@ def read_acf_csv(path: str | Path, source_length: int) -> AcfCurve:
 
 
 def write_rank_frequency_csv(rank: RankFrequency, path: str | Path) -> None:
-    _write_csv(path, "rank,freq", (f"{u},{f}" for u, f in enumerate(rank.frequencies.tolist(), start=1)))
+    _write_csv(path, "rank,freq", (f"{u},{f}" for u, f in enumerate(_items(rank.frequencies), start=1)))
 
 
 def write_type_token_csv(curve: TypeTokenCurve, path: str | Path) -> None:
-    _write_csv(path, "m,v", (f"{m},{v}" for m, v in zip(curve.sizes.tolist(), curve.vocab.tolist())))
+    _write_csv(path, "m,v", (f"{m},{v}" for m, v in zip(_items(curve.sizes), _items(curve.vocab))))
 
 
 def write_intervals_csv(ints: IntervalSequence, path: str | Path) -> None:
-    _write_csv(path, "interval", (str(x) for x in ints.intervals.tolist()))
+    _write_csv(path, "interval", map(str, _items(ints.intervals)))
 
 
 def log_grid(limit: int) -> np.ndarray:

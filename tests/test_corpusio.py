@@ -26,7 +26,8 @@ ROMEO = "Oh Romeo Romeo wherefore art thou Romeo"
 # ---------------------------------------------------------------------------
 # Oracle: the per-utterance parser that cleaned each utterance on its own and
 # kept one token tuple per utterance. The bulk parser must agree with it on
-# every transcript, including the errors it raises.
+# every transcript, including the errors it raises, and its text must be the
+# oracle's raw utterance texts cleaned all at once.
 # ---------------------------------------------------------------------------
 
 _ORACLE_TIER_RE = re.compile(r"^\*([A-Z0-9]{2,3}):[ \t]?(.*)$")
@@ -48,9 +49,10 @@ def _oracle_clean_utterance(text):
 
 
 def oracle_parse_chat(text):
-    """(utterances as (speaker, tokens) pairs, headers)."""
+    """(utterances as (speaker, tokens) pairs, headers, raw utterance texts)."""
     headers = []
     utterances = []
+    raw_texts = []
     pending_speaker = None
     pending_text = []
     mode = None
@@ -58,7 +60,8 @@ def oracle_parse_chat(text):
     def flush():
         nonlocal pending_speaker, pending_text
         if pending_speaker is not None:
-            utterances.append((pending_speaker, _oracle_clean_utterance(" ".join(pending_text))))
+            raw_texts.append(" ".join(pending_text))
+            utterances.append((pending_speaker, _oracle_clean_utterance(raw_texts[-1])))
         pending_speaker = None
         pending_text = []
 
@@ -95,7 +98,7 @@ def oracle_parse_chat(text):
         else:
             raise ChatParseError(lineno, "unclassified line")
     flush()
-    return tuple(utterances), tuple(headers)
+    return tuple(utterances), tuple(headers), tuple(raw_texts)
 
 
 def oracle_extract(utterances, speakers, drop_codes):
@@ -303,6 +306,35 @@ class TestReadTokens:
             read_token_file(path)
 
 
+def assert_matches_oracle(text, speakers, drop_codes):
+    """parse_chat and extract_speaker_with_stats give what the oracle gives,
+    errors included."""
+    try:
+        want = oracle_parse_chat(text)
+    except ChatParseError as exc:
+        with pytest.raises(ChatParseError) as got:
+            parse_chat(text)
+        assert str(got.value) == str(exc)
+        assert got.value.line_number == exc.line_number
+        return
+    doc = parse_chat(text)
+    try:
+        kept, dropped = oracle_extract(want[0], speakers, drop_codes)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            extract_speaker_with_stats(doc, speakers, drop_codes)
+        assert str(got.value) == str(exc)
+    else:
+        seq, n_dropped = extract_speaker_with_stats(doc, speakers, drop_codes)
+        assert list(seq.surfaces()) == kept
+        assert n_dropped == dropped
+    assert "utterances" not in doc.__dict__
+    assert tuple((u.speaker, u.tokens) for u in doc.utterances) == want[0]
+    assert doc.headers == want[1]
+    assert doc.text == corpusio._clean("\n".join(want[2]))
+    assert doc.speakers() == {speaker for speaker, _ in want[0]}
+
+
 class TestBulkCleaningMatchesOracle:
     @given(
         transcripts(),
@@ -312,29 +344,7 @@ class TestBulkCleaningMatchesOracle:
     )
     @settings(max_examples=400, deadline=None)
     def test_generated_transcripts(self, text, speakers, drop_codes):
-        try:
-            want = oracle_parse_chat(text)
-        except ChatParseError as exc:
-            with pytest.raises(ChatParseError) as got:
-                parse_chat(text)
-            assert str(got.value) == str(exc)
-            assert got.value.line_number == exc.line_number
-            return
-        doc = parse_chat(text)
-        try:
-            kept, dropped = oracle_extract(want[0], speakers, drop_codes)
-        except DataError as exc:
-            with pytest.raises(DataError) as got:
-                extract_speaker_with_stats(doc, speakers, drop_codes)
-            assert str(got.value) == str(exc)
-        else:
-            seq, n_dropped = extract_speaker_with_stats(doc, speakers, drop_codes)
-            assert list(seq.surfaces()) == kept
-            assert n_dropped == dropped
-        assert "utterances" not in doc.__dict__
-        assert tuple((u.speaker, u.tokens) for u in doc.utterances) == want[0]
-        assert doc.headers == want[1]
-        assert doc.speakers() == {speaker for speaker, _ in want[0]}
+        assert_matches_oracle(text, speakers, drop_codes)
 
     @pytest.mark.parametrize(
         "text",
@@ -350,15 +360,31 @@ class TestBulkCleaningMatchesOracle:
             "*CHI:\t& ..? a. <&x> &um ?!.\n",
             "*CHI:\tabcdefg abcdefgh ABCDEFGHI abcdefghijklmnopq xxx Abcdefgh\n\tabcdefghI .\n",
             "*CHI:\ta a\x00 a\x00\x00 A\x00 abcdefgΣ abcdefgİ ABCDEFGΣ .\n",
+            # Tier codes of 2 and 3 characters, with and without text, and
+            # malformed ones; the last has no newline.
+            "*CHI:\tone\n*AB:x\n*AB1:\n*CHI:\ttwo .\n",
+            "*CHI:\tone\n*ABCD:\tx\n",
+            "*CHI:\tone\n*A:x\n",
+            "*CHI:\tone\n*AB",
+            # Lines ending in "\r\r\n" lose every "\r".
+            "*CHI:\tup\r\r\n\tdown .\r\r\n%mor:\tx\r\r\n*CHI:\r\r\n",
+            # A continuation whose edges are wide spaces, one after 5000
+            # spaces, and a blank line of one wide space.
+            "*CHI:\tone\n\t\u3000x\xa0\n\t" + " " * 5000 + "x\n\u3000\n*CHI:\ttwo\n",
+            # A lone surrogate in another speaker's utterance.
+            "*MOT:\t\ud800x y\ud800\n*CHI:\tok\n",
+            # No tier line at all.
+            "@Begin\n%com:\tnote\n\tmore\n@End\n",
+            # Errors on the line just after a block cut: with small blocks,
+            # and past _BLOCK_CHARS.
+            "*CHI:\tone\n*BAD line\n",
+            "*CHI:\tone\n*MOT:\ttwo\nstray\n",
+            "*CHI:\t" + "a " * 2**17 + "\n*C\n",
+            "*CHI:\t" + "a " * 2**17 + "\n*MOT:\tb\n \tstray\n",
         ],
     )
     def test_edge_cases(self, text):
-        want = oracle_parse_chat(text)
-        doc = parse_chat(text)
-        kept, dropped = oracle_extract(want[0], {"CHI"}, DEFAULT_DROP_CODES)
-        seq, n_dropped = extract_speaker_with_stats(doc, {"CHI"})
-        assert (list(seq.surfaces()), n_dropped) == (kept, dropped)
-        assert tuple((u.speaker, u.tokens) for u in doc.utterances) == want[0]
+        assert_matches_oracle(text, {"CHI"}, DEFAULT_DROP_CODES)
 
     @pytest.mark.parametrize(
         "text,drop_codes",

@@ -48,14 +48,20 @@ before these changes in parentheses:
         select_rare_set's histogram of M / 16 levels, two levels now):
         every gap is 1, so the gaps are a broadcast of 1 and no
         whole-length array is made; the constant series is rejected
-        before a float copy of it is made"""
+        before a float copy of it is made
+
+parse_chat is bounded per transcript character, on a transcript of the
+same words, 8 to an utterance: 1.75 (3.53 while the whole utterance text
+was joined and then cleaned, each cleaning pass a copy of it). Each block,
+cut before a tier line, is classified over its bytes and cleaned at once,
+so besides the document only one block's temporaries are held."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from lrclab.corpusio import read_tokens
+from lrclab.corpusio import parse_chat, read_tokens
 from lrclab.genmodels import ModelParams, generate, generate_bigram, generate_zipf_iid, shuffle
 from lrclab.lrcstats import acf_curve, extract_intervals, rank_frequency, select_rare_set
 from lrclab.seqcore import DataError
@@ -70,16 +76,17 @@ TYPE_STATS_BOUND = 6  # bytes a token, where the types are a small share
 MANY_TYPES_BOUND = 11  # bytes a token, type_stats of Simon alpha 0.4
 RANK_FREQUENCY_BOUND = 5  # bytes a token, rank_frequency of Simon alpha 0.4
 INTERVALS_BOUND = 0.1  # bytes a token, where every token is rare: 0.02, margin 0.08
+PARSE_CHAT_BOUND = 2.0  # bytes a transcript character: 1.75, margin 0.25
 
 
-def peak_bytes_per_token(fn):
+def peak_bytes_per_token(fn, per=TOKENS):
     tracemalloc.start()
     try:
         result = fn()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / TOKENS, result
+    return peak / per, result
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +103,28 @@ def test_read_tokens(text):
     per_token, seq = peak_bytes_per_token(lambda: read_tokens(text))
     assert seq.m == TOKENS
     assert per_token < 45
+
+
+@pytest.fixture(scope="module")
+def transcript(simon):
+    """The Simon sequence's words as a CHAT transcript: 8 words to an
+    utterance, laid out as a tier line and a continuation with an
+    annotation, each utterance followed by a dependent tier."""
+    words = [f"Word{t}" for t in simon.tokens.tolist()]
+    lines = ["@Begin"]
+    for i in range(0, TOKENS, 8):
+        lines += (
+            f"*{('CHI', 'MOT')[i // 8 % 2]}:\t" + " ".join(words[i : i + 5]),
+            "\t" + " ".join(words[i + 5 : i + 8]) + " [?] .",
+            "%mor:\t" + " ".join(words[i : i + 3]),
+        )
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_chat(transcript):
+    per_char, doc = peak_bytes_per_token(lambda: parse_chat(transcript), per=len(transcript))
+    assert len(doc.codes) == TOKENS // 8
+    assert per_char <= PARSE_CHAT_BOUND
 
 
 def test_generate_bigram(text):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lrclab
+from lrclab import seqcore
 from lrclab.corpusio import extract_speaker_with_stats, parse_chat, read_token_file, read_tokens
 from lrclab.genmodels import ModelParams, generate, generate_bigram, generate_zipf_iid, shuffle
 from lrclab.lrcstats import acf_curve, autocorrelation
@@ -401,6 +402,22 @@ class TestRoundTrips:
         path = tmp_path / "intervals.csv"
         write_intervals_csv(IntervalSequence(np.array([1, 4, 2])), path)
         assert path.read_bytes() == b"interval\n1\n4\n2\n"
+
+    # The CSV writers join and write 2**14 rows at a time; the bytes are
+    # those of all rows joined at once.
+    @pytest.mark.parametrize("rows", [0, 1, 2**14 - 1, 2**14, 2**14 + 1, 2 * 2**14 + 3])
+    def test_csv_written_in_blocks(self, tmp_path, rows):
+        offsets = np.arange(1, rows + 1)
+        values = np.cos(offsets) / 3
+        lines = [f"{s},{c!r}" for s, c in zip(offsets.tolist(), values.tolist())]
+        seqcore._write_csv(tmp_path / "rows.csv", "s,c", iter(lines))
+        assert (tmp_path / "rows.csv").read_bytes() == seqcore._csv_text("s,c", lines).encode()
+        if rows:
+            write_acf_csv(AcfCurve(offsets, values, source_length=100 * rows), tmp_path / "acf.csv")
+            assert (tmp_path / "acf.csv").read_bytes() == seqcore._csv_text("s,c", lines).encode()
+            write_intervals_csv(IntervalSequence(offsets), tmp_path / "intervals.csv")
+            want = "interval\n" + "".join(f"{s}\n" for s in offsets.tolist())
+            assert (tmp_path / "intervals.csv").read_bytes() == want.encode()
 
     @pytest.mark.parametrize("text", ["s,c\n1,0.5\n2\n", "s,c\n1,0.5,0.25\n", "c,s\n1,0.5\n"])
     def test_malformed_csv_rejected(self, tmp_path, text):
