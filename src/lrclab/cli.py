@@ -52,27 +52,35 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+# The flags each model of `lrclab generate` takes, as argparse names: every
+# one is required for its model, and any other one is a usage error.
+GENERATE_FLAGS = {
+    **{"py" if name == "pitman_yor" else name: taken for name, taken in MODEL_PARAMS.items()},
+    "zipf": ("vocab", "exponent"),
+    "bigram": ("corpus",),
+}
+_FLAGS = tuple(dict.fromkeys(f for taken in GENERATE_FLAGS.values() for f in taken))
+
+
 def _cmd_generate(args: argparse.Namespace, parser: _Parser) -> int:
     model = args.model
+    taken = GENERATE_FLAGS[model]
+    given = [f for f in _FLAGS if getattr(args, f) is not None]
+    if set(given) != set(taken):
+        want, got = (" and ".join("--" + f for f in names) or "none" for names in (taken, given))
+        parser.error(f"--model {model} takes {want}, got {got}")
     name = "pitman_yor" if model == "py" else model
     if name in MODEL_PARAMS:
-        values = {p: getattr(args, p) for p in MODEL_PARAMS[name]}
-        if None in values.values():
-            parser.error(f"--model {model} requires {' and '.join('--' + p for p in values)}")
+        values = {f: getattr(args, f) for f in taken}
         params = ModelParams(model=name, length=args.length, seed=args.seed, **values)
         seq = generate(params)
         harness.write_sequence(seq, args.out, name, params.to_dict(), args.seed, params.degenerate)
         return 0
     if model == "zipf":
-        if args.vocab is None or args.exponent is None:
-            parser.error("--vocab and --exponent are required for --model zipf")
         seq = generate_zipf_iid(args.vocab, args.exponent, args.length, args.seed)
         params = {"vocab_size": args.vocab, "exponent": args.exponent}
     else:
-        if args.corpus is None:
-            parser.error("--corpus is required for --model bigram")
-        corpus = read_token_file(args.corpus)
-        seq = generate_bigram(corpus, args.length, args.seed)
+        seq = generate_bigram(read_token_file(args.corpus), args.length, args.seed)
         params = {"corpus": str(args.corpus)}
     harness.write_sequence(seq, args.out, model, params, args.seed)
     return 0
@@ -127,7 +135,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("generate", help="generate a sequence from a model")
     p.set_defaults(handler=functools.partial(_cmd_generate, parser=parser))
-    p.add_argument("--model", required=True, choices=["simon", "py", "conjunct", "zipf", "bigram"])
+    p.add_argument("--model", required=True, choices=list(GENERATE_FLAGS))
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--b", type=float, default=None)

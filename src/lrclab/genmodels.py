@@ -478,8 +478,13 @@ class _BigramChain:
         self.ids = ids
         self.succ = _sorted_by(heads, ids[1:])
         self.n_types = int(ids.max()) + 1
-        # in the ids' type, which holds every start and width
-        self.width = np.bincount(heads, minlength=self.n_types + 1).astype(ids.dtype)
+        # counted block by block, as np.bincount would cast the heads to an
+        # int64 copy; then narrowed to the ids' type, which holds every start
+        # and width
+        width = np.zeros(self.n_types + 1, dtype=np.int64)
+        for lo, hi in _spans(0, heads.size):
+            np.add.at(width, heads[lo:hi], 1)
+        self.width = width.astype(ids.dtype)
         self.start = np.cumsum(self.width, dtype=ids.dtype)
         self.start -= self.width
         restart = self.width == 0
@@ -592,7 +597,7 @@ def generate_bigram(corpus: TokenSequence, length: int, seed: int) -> TokenSeque
     if corpus.m < 2:
         raise DataError("corpus too short for bigrams")
     if length < 1:
-        raise DataError("parameter out of range")
+        raise DataError("parameter out of range: length must be >= 1")
     rng = _seeded_rng(seed)
     chain = _BigramChain(corpus.tokens)
     padded = -(-length // _LANE) * _LANE

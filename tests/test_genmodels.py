@@ -670,6 +670,23 @@ class TestBigram:
         with pytest.raises(DataError):
             generate_bigram(corpus, 10, 0)
 
+    def test_length_below_one(self):
+        corpus = _BIGRAM_CORPORA["named"]
+        with pytest.raises(DataError, match="parameter out of range: length must be >= 1"):
+            generate_bigram(corpus, 0, 0)
+
+    def test_widths_counted_across_blocks(self):
+        # a corpus of several counting blocks, with a type that only closes it
+        ids = np.random.default_rng(16).integers(0, 50, size=(3 << 14) + 5)
+        ids[-1] = 50
+        corpus = TokenSequence(ids)
+        chain = genmodels._BigramChain(corpus.tokens)
+        want = np.bincount(ids[:-1], minlength=52)
+        assert chain.width.dtype == corpus.tokens.dtype
+        assert np.array_equal(chain.width[want > 0], want[want > 0])
+        assert np.all(chain.width[want == 0] == ids.size)
+        assert generate_bigram(corpus, 5000, 3) == bigram_oracle(corpus, 5000, 3)
+
     def test_deterministic(self):
         rng = np.random.default_rng(8)
         corpus = TokenSequence(rng.integers(0, 10, size=500))

@@ -449,6 +449,30 @@ class TestCli:
             ])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("argv, foreign", [
+        (["--model", "simon", "--alpha", "0.1"], ["--a", "0.5"]),
+        (["--model", "py", "--a", "0.5", "--b", "1"], ["--alpha", "0.1"]),
+        (["--model", "conjunct", "--a", "0.5", "--b", "1"], ["--vocab", "5"]),
+        (["--model", "zipf", "--vocab", "5", "--exponent", "1"], ["--corpus", "CORPUS"]),
+        (["--model", "bigram", "--corpus", "CORPUS"], ["--exponent", "1"]),
+    ])
+    def test_generate_foreign_flag_usage_error(self, tmp_path, capsys, argv, foreign):
+        # the model's own flags succeed; with one more flag nothing is written
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a b a c\n")
+        model, flags = argv[1], argv[2::2]
+        argv, foreign = ([str(corpus) if a == "CORPUS" else a for a in v] for v in (argv, foreign))
+        common = ["generate", *argv, "--length", "50", "--seed", "1"]
+        assert cli.main([*common, "--out", str(tmp_path / "ok.txt")]) == 0
+        out = tmp_path / "out.txt"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*common, *foreign, "--out", str(out)])
+        assert exc.value.code == 1
+        takes, got = capsys.readouterr().err.strip().split(f"--model {model} takes ")[1].split(", got ")
+        assert takes.split(" and ") == flags
+        assert sorted(got.split(" and ")) == sorted([*flags, foreign[0]])
+        assert not out.exists() and not (tmp_path / "out.txt.meta.json").exists()
+
     def test_generate_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         for out in (a, b):
