@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from typing import Callable
 
 from . import harness, lrcstats
 from .corpusio import (
@@ -39,14 +40,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def worker_count(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return int(text)
+def _at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an int no smaller than low, or a usage error."""
+
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+
+    return integer
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    rare = args.rare.split(",") if args.rare else None
+    # An empty --rare names the empty word, which no token file holds.
+    rare = args.rare.split(",") if args.rare is not None else None
     report = harness.run_analysis(args.input, n=args.n, out_dir=args.out, rare_words=rare)
     print(json.dumps(report.to_dict(), indent=2))
     return 0
@@ -104,7 +111,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_chat_extract(args: argparse.Namespace) -> int:
     doc = parse_chat_file(args.input)
     speakers = [s for s in args.speakers.split(",") if s]
-    drop = set(args.drop_codes.split(",")) if args.drop_codes else set(DEFAULT_DROP_CODES)
+    drop = set(args.drop_codes.split(",")) if args.drop_codes is not None else set(DEFAULT_DROP_CODES)
     seq, dropped = extract_speaker_with_stats(doc, speakers, drop)
     write_token_file(seq, args.out)
     provenance = {
@@ -129,7 +136,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="analyze a token file")
     p.set_defaults(handler=_cmd_analyze)
     p.add_argument("--input", required=True)
-    p.add_argument("--n", type=int, default=lrcstats.DEFAULT_RARITY, help="rarity divisor (default 16)")
+    p.add_argument("--n", type=_at_least(2), default=lrcstats.DEFAULT_RARITY, help="rarity divisor (default 16)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--rare", default=None, help="comma-separated surface forms forcing the rare set")
 
@@ -156,14 +163,15 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_sweep)
     p.add_argument("--spec", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--workers", type=worker_count, default=1)
+    p.add_argument("--workers", type=_at_least(1), default=1)
 
     p = sub.add_parser("chat-extract", help="extract speaker tokens from a CHAT transcript")
     p.set_defaults(handler=_cmd_chat_extract)
     p.add_argument("--input", required=True)
     p.add_argument("--speakers", required=True, help="comma-separated speaker codes")
     p.add_argument("--out", required=True)
-    p.add_argument("--drop-codes", default=None, help="comma-separated codes to drop (default xxx,yyy,www)")
+    p.add_argument("--drop-codes", default=None,
+                   help="comma-separated codes to drop (default xxx,yyy,www; an empty value drops none)")
 
     p = sub.add_parser("figure", help="emit the data behind one figure panel")
     p.set_defaults(handler=_cmd_figure)

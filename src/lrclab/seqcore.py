@@ -367,7 +367,13 @@ def write_json(path: str | Path, payload: dict) -> None:
 
 def write_token_file(seq: TokenSequence, path: str | Path) -> None:
     """Write one surface token per line (ids render as w<id> when there is
-    no symbol table)."""
+    no symbol table). A symbol that is empty or holds whitespace would not
+    read back as one token: it is a DataError, raised before any file is made."""
+    if seq.symbols:
+        joined = "".join(seq.symbols)
+        if "" in seq.symbols or joined.split() != [joined]:
+            bad = next(s for s in seq.symbols if s.split() != [s])
+            raise DataError(f"symbol {bad!r} is not one token: it is empty or holds whitespace")
     names = seq.symbols or list(map(seq.surface, range(int(seq.tokens.max()) + 1)))
     table = np.array(names, dtype=object)
     # One block of lines at a time; each block ends in a newline, as the file does.

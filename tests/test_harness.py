@@ -339,7 +339,10 @@ class TestEmitFigureData:
         out = tmp_path / "fig"
         manifest = emit_figure_data(analysis_dir, "acf", out)
         assert manifest["files"][0] == {"file": "acf.csv", "x": "s", "y": "c"}
-        assert "exponent" in manifest["fit"]
+        # the figure refits gamma from acf.csv, the one output read back
+        report = json.loads((analysis_dir / "report.json").read_text())
+        assert report["gamma"] is not None
+        assert manifest["fit"]["exponent"] == report["gamma"]
         assert (out / "acf.csv").exists()
         assert json.loads((out / "manifest.json").read_text()) == manifest
 
@@ -351,6 +354,7 @@ class TestEmitFigureData:
         manifest = emit_figure_data(analysis_dir, figure_id, out)
         name = f"{figure_id}.csv"
         assert manifest["files"] == [{"file": name, "x": axes[0], "y": axes[1]}]
+        assert json.loads((out / "manifest.json").read_text()) == manifest
         assert (out / name).read_bytes() == (analysis_dir / name).read_bytes()
 
     def test_rankfreq_panel(self, tmp_path):
@@ -741,6 +745,47 @@ class TestCli:
         assert exc.value.code == 1
         assert "--workers: must be at least 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("n", ["1", "0"])
+    def test_analyze_rarity_divisor_below_two_usage_error(self, tmp_path, capsys, n):
+        # the flag is checked before the input is read: a missing input is not reported
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analyze", "--input", str(tmp_path / "missing.txt"), "--n", n, "--out", str(out)])
+        assert exc.value.code == 1
+        assert "--n: must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_analyze_forced_rare_set(self, tmp_path, capsys):
+        # oh and romeo stand at positions 0, 1, 2 and 6: three intervals, and no rarity divisor
+        src = tmp_path / "romeo.txt"
+        src.write_text(ROMEO + "\n")
+        out = tmp_path / "out"
+        assert cli.main(["analyze", "--input", str(src), "--rare", "romeo,Oh", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["n"] is None and report["m_n"] == 3
+
+    def test_analyze_empty_rare_word_data_error(self, tmp_path, capsys):
+        # an empty --rare names the empty word; it does not fall back to selection by rarity
+        src = tmp_path / "romeo.txt"
+        src.write_text(ROMEO + "\n")
+        assert cli.main(["analyze", "--input", str(src), "--rare", "", "--out", str(tmp_path / "out")]) == 2
+        assert "rare word '' does not occur" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, kept, dropped", [
+        ([], ["more", "cookie"], 2),
+        (["--drop-codes", ""], ["xxx", "more", "yyy", "cookie"], 0),
+        (["--drop-codes", ","], ["xxx", "more", "yyy", "cookie"], 0),
+        (["--drop-codes", "more"], ["xxx", "yyy", "cookie"], 1),
+    ])
+    def test_chat_extract_drop_codes(self, tmp_path, flags, kept, dropped):
+        # an empty --drop-codes drops no code, as a list of empty codes does
+        src = tmp_path / "one.cha"
+        src.write_text("@Begin\n*CHI:\txxx more yyy cookie .\n@End\n")
+        out = tmp_path / "chi.txt"
+        assert cli.main(["chat-extract", "--input", str(src), "--speakers", "CHI", *flags, "--out", str(out)]) == 0
+        assert out.read_text().split() == kept
+        assert json.loads((tmp_path / "chi.txt.provenance.json").read_text())["dropped_token_count"] == dropped
 
     def test_generate_py_requires_b(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

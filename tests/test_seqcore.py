@@ -214,9 +214,17 @@ class TestOpenOutput:
         assert list(tmp_path.iterdir()) == [target]
 
     def test_failed_block_creates_nothing(self, tmp_path):
-        # A symbol that is not a string fails the join inside the block.
+        # A symbol that is not a string fails the symbol check's join, before the block.
         seq = TokenSequence(np.array([0, 1]), symbols=("a", object()))
         with pytest.raises(TypeError):
+            write_token_file(seq, tmp_path / "tokens.txt")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bad", ["", "a b", "\u3000", " "])
+    def test_unwritable_symbol_creates_nothing(self, tmp_path, bad):
+        # one token per line: an empty symbol or one holding whitespace would not read back
+        seq = TokenSequence(np.array([0, 1, 0]), symbols=("a", bad))
+        with pytest.raises(DataError, match="is not one token"):
             write_token_file(seq, tmp_path / "tokens.txt")
         assert list(tmp_path.iterdir()) == []
 
