@@ -51,6 +51,15 @@ def _at_least(low: int) -> Callable[[str], int]:
     return integer
 
 
+def _speakers(text: str) -> list[str]:
+    """An argparse type: the codes of a comma-separated list, at least one,
+    or a usage error."""
+    codes = [s for s in text.split(",") if s]
+    if not codes:
+        raise argparse.ArgumentTypeError(f"no speaker codes in {text!r}")
+    return codes
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     # An empty --rare names the empty word, which no token file holds.
     rare = args.rare.split(",") if args.rare is not None else None
@@ -110,13 +119,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_chat_extract(args: argparse.Namespace) -> int:
     doc = parse_chat_file(args.input)
-    speakers = [s for s in args.speakers.split(",") if s]
     drop = set(args.drop_codes.split(",")) if args.drop_codes is not None else set(DEFAULT_DROP_CODES)
-    seq, dropped = extract_speaker_with_stats(doc, speakers, drop)
+    seq, dropped = extract_speaker_with_stats(doc, args.speakers, drop)
     write_token_file(seq, args.out)
     provenance = {
         "source_file": str(args.input),
-        "speakers": sorted(s.upper() for s in speakers),
+        "speakers": sorted(s.upper() for s in args.speakers),
         "dropped_token_count": dropped,
     }
     write_json(str(args.out) + ".provenance.json", provenance)
@@ -168,7 +176,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("chat-extract", help="extract speaker tokens from a CHAT transcript")
     p.set_defaults(handler=_cmd_chat_extract)
     p.add_argument("--input", required=True)
-    p.add_argument("--speakers", required=True, help="comma-separated speaker codes")
+    p.add_argument("--speakers", type=_speakers, required=True, help="comma-separated speaker codes")
     p.add_argument("--out", required=True)
     p.add_argument("--drop-codes", default=None,
                    help="comma-separated codes to drop (default xxx,yyy,www; an empty value drops none)")

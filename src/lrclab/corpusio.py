@@ -19,10 +19,12 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .seqcore import DataError, TokenSequence, id_dtype, read_blocks, split_blocks
+
 # sequence_from_surface is not called here: it is the reference the tests
 # compare the readers with. perfbench/spans.py looks it up on this module by
 # name to trace it, so the import must stay.
-from .seqcore import DataError, TokenSequence, id_dtype, read_text, sequence_from_surface  # noqa: F401
+from .seqcore import sequence_from_surface  # noqa: F401
 
 DEFAULT_DROP_CODES = frozenset({"xxx", "yyy", "www"})
 
@@ -92,17 +94,10 @@ class ChatDocument:
 
 
 def _blocks(text: str, sep: re.Pattern) -> Iterator[str]:
-    """Cut text at matches of the one-character pattern `sep`, each the
-    first at least _BLOCK_CHARS past the previous cut. The separators at
-    the cuts are left out: joined with them, the blocks give back text."""
-    pos = 0
-    while len(text) - pos > _BLOCK_CHARS:
-        m = sep.search(text, pos + _BLOCK_CHARS)
-        if m is None:
-            break
-        yield text[pos : m.start()]
-        pos = m.end()
-    yield text[pos:]
+    """Text cut at matches of the one-character pattern `sep`, each the
+    first at least _BLOCK_CHARS past the previous cut, as `split_blocks`
+    cuts it; the files are cut the same way as they are read."""
+    return split_blocks((text,), sep, _BLOCK_CHARS)
 
 
 # The ASCII whitespace of str.isspace(): bytes 9-13 and 28-32.
@@ -442,14 +437,19 @@ def parse_chat(text: str) -> ChatDocument:
     continuations), and tab-indented lines continue the preceding tier.
     Any other non-blank line raises a located error.
     """
-    reader = _ChatReader()
-    for block in _blocks(text, _TIER_CUT_RE):
-        reader.add(block)
-    return reader.document()
+    return _parse(_blocks(text, _TIER_CUT_RE))
 
 
 def parse_chat_file(path: str | Path) -> ChatDocument:
-    return parse_chat(read_text(path))
+    """parse_chat of a transcript file, read a block at a time."""
+    return _parse(read_blocks(path, _TIER_CUT_RE, _BLOCK_CHARS))
+
+
+def _parse(blocks: Iterable[str]) -> ChatDocument:
+    reader = _ChatReader()
+    for block in blocks:
+        reader.add(block)
+    return reader.document()
 
 
 def extract_speaker_with_stats(
@@ -492,8 +492,11 @@ def read_tokens(text: str) -> TokenSequence:
 
 
 def read_token_file(path: str | Path) -> TokenSequence:
-    text = read_text(path)
+    """read_tokens of a token file, read a block at a time."""
+    factorizer = _Factorizer()
+    for block in read_blocks(path, _SPACE_RE, _BLOCK_CHARS):
+        factorizer.add(block)
     try:
-        return read_tokens(text)
+        return factorizer.sequence()
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc

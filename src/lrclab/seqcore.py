@@ -9,10 +9,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO, TypeVar
@@ -352,11 +353,61 @@ def open_output(path: str | Path) -> Iterator[TextIO]:
 
 
 def read_text(path: str | Path, kind: str = "") -> str:
-    """The UTF-8 text of an input file, or DataError "cannot read [<kind> ]<path>: <reason>"."""
+    """The UTF-8 text of an input file, or DataError "cannot read [<kind> ]<path>: <reason>".
+
+    It holds the whole text, twice while it decodes: it serves the small
+    JSON and CSV inputs. Token files and transcripts go through
+    `read_blocks`."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {kind + ' ' if kind else ''}{path}: {exc}") from exc
+
+
+def split_blocks(chunks: Iterable[str], sep: re.Pattern, size: int) -> Iterator[str]:
+    """The text that `chunks` join to, cut at matches of `sep`, each the
+    first that starts at least `size` characters past the previous cut. The
+    separators at the cuts are left out: joined with them, the blocks give
+    back the text. `sep` matches one character, maybe only where a given
+    character follows it: a match found stands, and the last character is
+    tried again once the next is in. Past the last cut, only the chunks up
+    to the next cut are held."""
+    chunks = iter(chunks)
+    buf, pos = "", 0  # the text past the last cut is buf[pos:]
+    skip = size  # no match starts in buf[pos + size : pos + skip]
+    ended = False
+    while True:
+        if len(buf) - pos > size:
+            m = sep.search(buf, pos + skip)
+            if m is not None:
+                yield buf[pos : m.start()]
+                pos, skip = m.end(), size
+                continue
+        if ended:
+            yield buf[pos:]
+            return
+        # every character but the last has been tried with the one after it
+        skip = max(size, len(buf) - pos - 1)
+        chunk = next(chunks, None)
+        if chunk is None:
+            ended = True
+        else:
+            buf, pos = buf[pos:] + chunk, 0
+
+
+def read_blocks(path: str | Path, sep: re.Pattern, size: int) -> Iterator[str]:
+    """The blocks `split_blocks` cuts from the text of an input file, read
+    `size` characters at a time and decoded as `read_text` decodes it, so
+    that only the chunks up to the next cut and a block are held, never
+    the whole text. A file that cannot be read or decoded raises
+    read_text's DataError: read_text reads it again, so that a bad byte
+    is located in the whole file, not in a chunk."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from split_blocks(iter(partial(fh.read, size), ""), sep, size)
+    except (OSError, UnicodeDecodeError) as exc:
+        read_text(path)  # raises the same error, located in the whole file
+        raise DataError(f"cannot read {path}: {exc}") from exc
 
 
 def write_json(path: str | Path, payload: dict) -> None:

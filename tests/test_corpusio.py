@@ -16,7 +16,7 @@ from lrclab.corpusio import (
     read_token_file,
     read_tokens,
 )
-from lrclab.seqcore import DataError, sequence_from_surface, write_token_file
+from lrclab.seqcore import DataError, read_blocks, read_text, sequence_from_surface, write_token_file
 
 DATA = Path(__file__).parent / "data"
 
@@ -529,3 +529,127 @@ def test_readers_bypass_sequence_from_surface(monkeypatch):
     assert read_tokens(ROMEO).symbols == ("oh", "romeo", "wherefore", "art", "thou")
     seq, dropped = extract_speaker_with_stats(parse_chat("*CHI:\txxx Ball ball .\n"), {"CHI"})
     assert (seq.symbols, dropped) == (("ball",), 1)
+
+
+# ---------------------------------------------------------------------------
+# Files read a block at a time: read_blocks reads corpusio._BLOCK_CHARS
+# characters at a time, so with small blocks every chunk edge falls inside a
+# line, a word or a line end. The file readers must give what the text
+# readers give on read_text's text of the same file.
+# ---------------------------------------------------------------------------
+
+
+def blocks_oracle(text, sep, size):
+    """The cut over the whole text at once, as _blocks made it before it
+    shared split_blocks with the file reader."""
+    pos = 0
+    while len(text) - pos > size:
+        m = sep.search(text, pos + size)
+        if m is None:
+            break
+        yield text[pos : m.start()]
+        pos = m.end()
+    yield text[pos:]
+
+
+def assert_file_reads_match(path):
+    text = read_text(path)
+    size = corpusio._BLOCK_CHARS
+    for sep in (corpusio._TIER_CUT_RE, corpusio._SPACE_RE, corpusio._NEWLINE_RE):
+        want = list(blocks_oracle(text, sep, size))
+        assert list(corpusio._blocks(text, sep)) == want
+        assert list(read_blocks(path, sep, size)) == want
+    try:
+        doc = parse_chat(text)
+    except ChatParseError as exc:
+        with pytest.raises(ChatParseError) as got:
+            parse_chat_file(path)
+        assert (str(got.value), got.value.line_number) == (str(exc), exc.line_number)
+    else:
+        got = parse_chat_file(path)
+        assert (got.codes, got.text, got.headers) == (doc.codes, doc.text, doc.headers)
+    try:
+        seq = read_tokens(text)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            read_token_file(path)
+        assert str(got.value) == f"{path}: {exc}"
+    else:
+        assert read_token_file(path) == seq
+
+
+@st.composite
+def _file_bytes(draw, texts):
+    """A text of `texts` with each "\\n" made "\\n", "\\r\\n" or a lone "\\r",
+    maybe after a BOM, as UTF-8."""
+    text = draw(texts)
+    ends = iter(draw(st.lists(st.sampled_from(("\n", "\r\n", "\r")),
+                              min_size=text.count("\n"), max_size=text.count("\n"))))
+    text = re.sub("\n", lambda _: next(ends), text)
+    return (draw(st.sampled_from(("", "\ufeff"))) + text).encode()
+
+
+_token_texts = st.lists(
+    st.one_of(
+        st.sampled_from(("Σ", "aΣ", "ΑΣ", "İ", "ǅ", "x", "\n", " ", "\t", "y" * 25)),
+        st.sampled_from(corpusio._WIDE_SPACES),
+        st.sampled_from(_KEY_EDGE_TOKENS),
+    ),
+    max_size=30,
+).map("".join)
+
+
+@pytest.fixture(scope="class", params=[1, 2, 3, 7, 20, 1 << 18])
+def read_blocks_of(request):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpusio, "_BLOCK_CHARS", request.param)
+        yield request.param
+
+
+@pytest.fixture(scope="class")
+def work(tmp_path_factory):
+    return tmp_path_factory.mktemp("files")
+
+
+@pytest.mark.usefixtures("read_blocks_of")
+class TestFilesReadInBlocks:
+    @given(st.one_of(_file_bytes(transcripts()), _file_bytes(_token_texts)))
+    @settings(max_examples=150, deadline=None)
+    def test_generated_files(self, work, content):
+        path = work / "input.txt"
+        path.write_bytes(content)
+        assert_file_reads_match(path)
+
+    def test_edge_cases(self, work, read_blocks_of):
+        size = read_blocks_of
+        edge = 2 * size  # a line end that closes the second chunk, its "*" opening the third
+        cases = [
+            b"",
+            b"abc" * 10,  # no separator of any kind
+            b"x" * (size + 5) + b" y\n",  # a token longer than a block
+            b"*CHI:\t" + b"a" * (size + 5) + b"\n*MOT:\tb\n",
+            # a tier line that starts exactly at a chunk edge, after "\n" and after "\r\n"
+            b"@" + b"x" * (edge - 2) + b"\n*CHI:\tone two\n*MOT:\tthree .\n",
+            b"@" + b"x" * (edge - 2) + b"\r\n*CHI:\tone two\r\n*MOT:\tthree .\r\n",
+            "\ufeff*CHI:\tΟΔΟΣ\u3000ΑΣ\x85Σ\r*MOT:\tİ ǅ\r".encode(),
+        ]
+        for content in cases:
+            path = work / "edge.txt"
+            path.write_bytes(content)
+            assert_file_reads_match(path)
+
+    def test_read_errors(self, work, read_blocks_of):
+        """A missing file, a directory and a bad byte past the first chunk
+        (and past the 8 KB the text layer decodes at once) raise read_text's
+        DataError, the byte's position counted from the start of the file."""
+        bad = work / "bad.txt"
+        bad.write_bytes(b"ab\n" * (max(read_blocks_of, 8192) // 3 + 10) + b"caf\xe9\n")
+        for path in (work / "missing.txt", work, bad):
+            with pytest.raises(DataError) as want:
+                read_text(path)
+            readers = (parse_chat_file, read_token_file,
+                       lambda p: list(read_blocks(p, corpusio._SPACE_RE, read_blocks_of)))
+            for reader in readers:
+                with pytest.raises(DataError) as got:
+                    reader(path)
+                assert str(got.value) == str(want.value)

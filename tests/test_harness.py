@@ -553,6 +553,17 @@ class TestCli:
         assert prov["speakers"] == ["CHI"]
         assert prov["dropped_token_count"] == 3
 
+    @pytest.mark.parametrize("speakers", ["", ","])
+    def test_chat_extract_without_speakers_is_usage_error(self, tmp_path, capsys, speakers):
+        # found before the transcript is read: a missing input would exit 2
+        out = tmp_path / "chi.txt"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["chat-extract", "--input", str(tmp_path / "missing.cha"), "--speakers", speakers,
+                      "--out", str(out)])
+        assert exc.value.code == 1
+        assert "argument --speakers: no speaker codes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_command(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({

@@ -54,14 +54,22 @@ parse_chat is bounded per transcript character, on a transcript of the
 same words, 8 to an utterance: 1.75 (3.53 while the whole utterance text
 was joined and then cleaned, each cleaning pass a copy of it). Each block,
 cut before a tier line, is classified over its bytes and cleaned at once,
-so besides the document only one block's temporaries are held."""
+so besides the document only one block's temporaries are held.
+
+read_token_file and parse_chat_file are bounded per byte of the file they
+read, the two texts above written to disk: 3.77 and 2.11 (4.38 and 2.75
+while each first read the whole file, which it held as bytes and then as
+a str). They read 2**18 characters at a time and hold as text only the
+chunks up to the next cut, one or two here, and one block, so the peak
+no longer grows with the file; at this size each block's temporaries set
+most of it."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from lrclab.corpusio import parse_chat, read_tokens
+from lrclab.corpusio import parse_chat, parse_chat_file, read_token_file, read_tokens
 from lrclab.genmodels import ModelParams, generate, generate_bigram, generate_zipf_iid, shuffle
 from lrclab.lrcstats import acf_curve, extract_intervals, rank_frequency, select_rare_set
 from lrclab.seqcore import DataError
@@ -77,6 +85,9 @@ MANY_TYPES_BOUND = 11  # bytes a token, type_stats of Simon alpha 0.4
 RANK_FREQUENCY_BOUND = 5  # bytes a token, rank_frequency of Simon alpha 0.4
 INTERVALS_BOUND = 0.1  # bytes a token, where every token is rare: 0.02, margin 0.08
 PARSE_CHAT_BOUND = 2.0  # bytes a transcript character: 1.75, margin 0.25
+# Bytes a file byte, where the text readers would first hold the whole text
+READ_TOKEN_FILE_BOUND = 4.0  # 3.77, margin 0.23
+PARSE_CHAT_FILE_BOUND = 2.3  # 2.11, margin 0.19
 
 
 def peak_bytes_per_token(fn, per=TOKENS):
@@ -125,6 +136,24 @@ def test_parse_chat(transcript):
     per_char, doc = peak_bytes_per_token(lambda: parse_chat(transcript), per=len(transcript))
     assert len(doc.codes) == TOKENS // 8
     assert per_char <= PARSE_CHAT_BOUND
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory, text, transcript):
+    work = tmp_path_factory.mktemp("memory")
+    (work / "tokens.txt").write_text(text, encoding="utf-8")
+    (work / "transcript.cha").write_text(transcript, encoding="utf-8")
+    return work
+
+
+@pytest.mark.parametrize("reader,name,bound", [
+    (read_token_file, "tokens.txt", READ_TOKEN_FILE_BOUND),
+    (parse_chat_file, "transcript.cha", PARSE_CHAT_FILE_BOUND),
+])
+def test_file_readers(files, reader, name, bound):
+    path = files / name
+    per_byte, _ = peak_bytes_per_token(lambda: reader(path), per=path.stat().st_size)
+    assert per_byte <= bound
 
 
 def test_generate_bigram(text):

@@ -30,6 +30,7 @@ from lrclab.seqcore import (
     moments,
     open_output,
     read_acf_csv,
+    read_blocks,
     read_text,
     sequence_from_surface,
     write_acf_csv,
@@ -294,13 +295,13 @@ class TestOneWriter:
 
 
 def _unguarded_reads(source: str) -> list[int]:
-    """Lines that read a file outside seqcore.read_text: a .read_text(...)
+    """Lines that read a file outside seqcore's readers: a .read_text(...)
     or .read_bytes(...) method call, or any open(...) / .open(...) outside
-    read_text and open_output (writes go through the latter)."""
+    read_text, read_blocks and open_output (writes go through the last)."""
     tree = ast.parse(source)
     exempt = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name in ("read_text", "open_output"):
+        if isinstance(node, ast.FunctionDef) and node.name in ("read_text", "read_blocks", "open_output"):
             exempt.update(id(n) for n in ast.walk(node))
     lines = []
     for node in ast.walk(tree):
@@ -314,10 +315,16 @@ def _unguarded_reads(source: str) -> list[int]:
     return lines
 
 
+def _read_all(path):
+    """The text read_blocks gives, its blocks joined at the cuts."""
+    return "\n".join(read_blocks(path, re.compile("\n"), 4))
+
+
 class TestOneReader:
     def test_sources_read_only_through_read_text(self):
         sources = {p.name: p.read_text(encoding="utf-8") for p in Path(lrclab.__file__).parent.glob("*.py")}
-        assert [name for name, text in sources.items() if "def read_text" in text] == ["seqcore.py"]
+        for reader in ("def read_text", "def read_blocks"):
+            assert [name for name, text in sources.items() if reader in text] == ["seqcore.py"]
         found = {name: lines for name, text in sources.items() if (lines := _unguarded_reads(text))}
         assert found == {}
 
@@ -325,8 +332,9 @@ class TestOneReader:
     def test_guard_catches(self, source):
         assert _unguarded_reads(source)
 
-    @pytest.mark.parametrize("source", ["read_text(p)", "read_text(p, 'sweep spec')",
-                                        "def read_text(p):\n    return Path(p).read_text()"])
+    @pytest.mark.parametrize("source", ["read_text(p)", "read_text(p, 'sweep spec')", "read_blocks(p, sep, 4)",
+                                        "def read_text(p):\n    return Path(p).read_text()",
+                                        "def read_blocks(p):\n    with open(p) as fh:\n        yield fh.read()"])
     def test_guard_allows(self, source):
         assert _unguarded_reads(source) == []
 
@@ -335,15 +343,16 @@ class TestOneReader:
         path = tmp_path / "input.txt"
         if content is not None:
             path.write_bytes(content)
-        with pytest.raises(DataError, match=f"^cannot read {re.escape(str(path))}: "):
-            read_text(path)
+        for reader in (read_text, _read_all):
+            with pytest.raises(DataError, match=f"^cannot read {re.escape(str(path))}: "):
+                reader(path)
         with pytest.raises(DataError, match=f"^cannot read sweep spec {re.escape(str(path))}: "):
             read_text(path, "sweep spec")
 
     def test_reads_utf8(self, tmp_path):
         path = tmp_path / "input.txt"
         path.write_bytes("caf\u00e9\n".encode("utf-8"))
-        assert read_text(path) == "caf\u00e9\n"
+        assert read_text(path) == _read_all(path) == "caf\u00e9\n"
 
 
 class TestRoundTrips:
