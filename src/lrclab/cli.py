@@ -16,6 +16,7 @@ from typing import Callable
 from . import harness, lrcstats
 from .corpusio import (
     DEFAULT_DROP_CODES,
+    ChatParseError,
     extract_speaker_with_stats,
     parse_chat_file,
     read_token_file,
@@ -118,9 +119,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_chat_extract(args: argparse.Namespace) -> int:
-    doc = parse_chat_file(args.input)
     drop = set(args.drop_codes.split(",")) if args.drop_codes is not None else set(DEFAULT_DROP_CODES)
-    seq, dropped = extract_speaker_with_stats(doc, args.speakers, drop)
+    # A transcript that does not parse or holds no tokens of the speakers is
+    # named, as analyze names its token file; a failed read names it already.
+    try:
+        doc = parse_chat_file(args.input)
+    except ChatParseError as exc:
+        raise DataError(f"{args.input}: {exc}") from exc
+    try:
+        seq, dropped = extract_speaker_with_stats(doc, args.speakers, drop)
+    except DataError as exc:
+        raise DataError(f"{args.input}: {exc}") from exc
     write_token_file(seq, args.out)
     provenance = {
         "source_file": str(args.input),

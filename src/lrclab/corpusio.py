@@ -321,8 +321,9 @@ class _ChatReader:
     running maximum, and the utterances' bytes are gathered with one mask. Only
     headers, header continuations, lines that may start or end in a Unicode
     space (a byte of 0x80 or above at an edge) and lines with more than 8
-    spaces at an edge take a Python step. No utterance crosses a cut, so
-    each block is cleaned on its own."""
+    spaces at an edge take a Python step. The first bad line raises the
+    ChatParseError, line number and message, of a line-by-line parse. No
+    utterance crosses a cut, so each block is cleaned on its own."""
 
     def __init__(self) -> None:
         self._headers: list[str] = []
@@ -485,18 +486,25 @@ def read_tokens(text: str) -> TokenSequence:
     The text is lowercased and split block by block, cut at whitespace.
     Lowercasing needs no context across whitespace (a final sigma is
     judged within its word), so the tokens equal text.lower().split()."""
-    factorizer = _Factorizer()
-    for block in _blocks(text, _SPACE_RE):
-        factorizer.add(block)
-    return factorizer.sequence()
+    return _tokens(_blocks(text, _SPACE_RE))
 
 
 def read_token_file(path: str | Path) -> TokenSequence:
-    """read_tokens of a token file, read a block at a time."""
+    """read_tokens of a token file, read a block at a time. A file with no
+    tokens raises DataError "<path>: empty input"."""
+    return _tokens(read_blocks(path, _SPACE_RE, _BLOCK_CHARS), source=path)
+
+
+def _tokens(blocks: Iterable[str], source: str | Path | None = None) -> TokenSequence:
+    """The sequence of the blocks' tokens. A DataError in making it is
+    prefixed with "<source>: " when a source is named; one raised while
+    the blocks are read passes unchanged."""
     factorizer = _Factorizer()
-    for block in read_blocks(path, _SPACE_RE, _BLOCK_CHARS):
+    for block in blocks:
         factorizer.add(block)
     try:
         return factorizer.sequence()
     except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+        if source is None:
+            raise
+        raise DataError(f"{source}: {exc}") from exc

@@ -9,7 +9,9 @@ two-parameter (a, b) model reuses type i with weight counts[i] - a,
 which it draws as a copy of a first or a later occurrence. The bulk
 generators write their ids one block of positions at a time, as soon as
 the block's draws are in; no per-position pointer array outlives its
-block. Three reference generators round out the set: an i.i.d. sampler
+block. Besides the ids, a generator holds only the positions of its
+innovations and, for the (a, b) model, the ids of its later occurrences.
+Three reference generators round out the set: an i.i.d. sampler
 with an exact power-law rank distribution, a first-order Markov resampler
 of a corpus, and a word-level shuffler.
 
@@ -197,7 +199,8 @@ def _require(params: ModelParams, model: str) -> None:
 def _constant(params: ModelParams) -> TokenSequence:
     """The one sequence of the (a, b) models at a = b = 0: the innovation
     rate (a*K + b) / (t + b) is 0 at every step, so every element is type 0
-    whatever the draws, and none is made."""
+    whatever the draws, and none is made. The ids are zero-filled pages
+    that are only read, so most of them never become resident."""
     return TokenSequence._adopt(np.zeros(params.length, dtype=id_dtype(params.length)))
 
 

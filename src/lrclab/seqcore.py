@@ -20,7 +20,11 @@ from typing import Iterable, Iterator, Sequence, TextIO, TypeVar
 
 import numpy as np
 
-_BLOCK = 1 << 14  # positions per block of every block-wise pass
+# Positions per block of every block-wise pass: the random draws, the (a, b)
+# innovation screen, the generators' ids, the per-label scatters, and the
+# lines or rows joined per write. The bigram resampler's spans of uniforms
+# (genmodels._SPAN) are the one exception.
+_BLOCK = 1 << 14
 GRID_PER_DECADE = 20  # points per decade of every log_grid
 
 
@@ -64,7 +68,8 @@ def id_dtype(m: int) -> type:
     """Integer type of the ids of a sequence of m tokens: int32 while every
     position fits, as every id lrclab issues is below the length, and
     int64 from m = 2**31 on. Interval, frequency and rare-id arrays stay
-    int64."""
+    int64. Every consumer reads ids of either width, and no output byte
+    depends on it."""
     return np.int32 if m < 2**31 else np.int64
 
 

@@ -420,6 +420,18 @@ class TestCli:
         assert str(src) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text,message", [
+        ("@Begin\n*CHI:\thi .\nstray line\n", "line 3: unclassified line"),
+        ("@Begin\n*MOT:\thello there .\n@End\n", "no tokens for speakers"),
+    ], ids=["unparsed", "no-tokens"])
+    def test_chat_extract_error_names_input(self, tmp_path, capsys, text, message):
+        src = tmp_path / "bad.cha"
+        src.write_text(text)
+        out = tmp_path / "out.txt"
+        assert cli.main(["chat-extract", "--input", str(src), "--speakers", "CHI", "--out", str(out)]) == 2
+        assert f"lrclab: error: {src}: {message}\n" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [src]
+
     def test_degenerate_exit_code(self, tmp_path, capsys):
         src = tmp_path / "constant.txt"
         src.write_text("a\n" * 5000)

@@ -7,61 +7,47 @@ a block at a time, write each block of ids as soon as its draws are in,
 keep no whole-length array but the ids, the innovation positions and
 Pitman-Yor's later-occurrence ids, and hand their ids to TokenSequence
 without a copy. Every id array is int32 below 2**31 tokens. Measured at
-2e5 tokens (CPython 3.11, numpy 2.4), in bytes a token, with the figure
-before these changes in parentheses:
+2e5 tokens (CPython 3.11, numpy 2.4), in bytes a token, with the bound
+each test asserts:
 
-    read_tokens 26.0 (93 while it held one Python object per token, then
-        28.8 with int64 ids, then 25.0 through sequence_from_surface's
-        dict: the keys and the table weigh less than the dict and its
-        strings, but at this length each block's temporaries set the
-        peak; 13.5 at 2e6, against 18.3)
-    generate_bigram 16.9 (119 with one object per token, then 37, then
-        29.8 with an int64 successor table and id buffer, then 18.0 with
-        a copy of the corpus in the table, per-step draws of 2**14
-        uniforms and int64 starts and widths; it now holds a span of up
-        to 2**20 uniforms, 8 bytes a token at this length)
-    generate: Simon alpha 0.1 9.0 (43, then 16.4, then 13.3 with int64
-        ids), Simon alpha 0.4 11.1 (37, 16.4, 15.5), conjunct (0.68, 0.8)
-        8.4 (42, 16.4, 12.7), Pitman-Yor (0.68, 0.8) and (0, 0.8) 15.8
-        (74, then 18.2, then 20.1 with int64 ids: its block temporaries
-        set the peak; 9.7 at 1e6, against 13.6); Pitman-Yor and conjunct
-        (0, 0) 4.0, the ids alone, as they draw no random numbers (20.1
-        and 12.7 while they drew them, 8.0 with int64 ids)
-    shuffle 15.2 (39, then 19.2 with int64 ids)
-    generate_zipf_iid, 50000 ranks, 13.5 (32, then 17.5 with int64 ids)
-    type_stats: Simon alpha 0.1 2.6 (9.6, then 4.0), Pitman-Yor (0.68,
-        0.8) 1.2 (8.2), with the per-type scatters run block by block;
-        Simon alpha 0.4 9.6 (16), as its 0.4 M types fill the three output
-        arrays, which are now the per-label arrays themselves, uncopied
-    rank_frequency, after type_stats: Simon alpha 0.4 3.6 (10.0), alpha
-        0.1 0.9 (2.5), with the sorted frequencies handed over uncopied and
-        checked for order without an int64 difference array
-    select_rare_set, after type_stats: Simon alpha 0.1 0.9 (9.8, then
-        1.7), Pitman-Yor (0.68, 0.8) 1.0 (7.7, then 1.5), with the
-        frequency histogram clipped at the largest frequency at or below
-        the target and turned into token counts in place, and the ids kept
-        in an array, not a set
+    read_tokens 26.0, bound 45: at this length each block's temporaries
+        set the peak (13.5 at 2e6 tokens of 2e5 types)
+    generate_bigram 16.9, bound 18: it holds a span of up to 2**20
+        uniforms, 8 bytes a token at this length
+    generate: Simon alpha 0.1 9.0, Simon alpha 0.4 11.1 and conjunct
+        (0.68, 0.8) 8.4, bound 12; Pitman-Yor (0.68, 0.8) and (0, 0.8)
+        15.8, bound 17, set by its block temporaries (9.7 at 1e6);
+        Pitman-Yor and conjunct (0, 0) 4.0, bound 4.5, the ids alone, as
+        they draw no random numbers
+    shuffle 15.2 and generate_zipf_iid, 50000 ranks, 13.5, bound 17
+    type_stats: Simon alpha 0.1 2.6 and Pitman-Yor (0.68, 0.8) 1.2, bound
+        6, with the per-type scatters run block by block; Simon alpha 0.4
+        9.6, bound 11, as its 0.4 M types fill the three output arrays,
+        which are the per-label arrays themselves, uncopied
+    rank_frequency, after type_stats: Simon alpha 0.4 3.6, bound 5, with
+        the sorted frequencies handed over uncopied and checked for order
+        without an int64 difference array
+    select_rare_set, after type_stats: Simon alpha 0.1 0.9 and Pitman-Yor
+        (0.68, 0.8) 1.0, bound 6, with the frequency histogram clipped at
+        the largest frequency at or below the target and turned into
+        token counts in place, and the ids kept in an array, not a set
     select_rare_set, extract_intervals and acf_curve, after type_stats, of
         an all-rare series, Pitman-Yor and conjunct (0, 0), which raise
-        "degenerate series": 0.02, a few kilobytes (40, then 24, then 9.0
-        with the bool gather and the rare positions, then 1.5 with
-        select_rare_set's histogram of M / 16 levels, two levels now):
-        every gap is 1, so the gaps are a broadcast of 1 and no
-        whole-length array is made; the constant series is rejected
-        before a float copy of it is made
+        "degenerate series": 0.02, a few kilobytes, bound 0.1: every gap
+        is 1, so the gaps are a broadcast of 1 and no whole-length array
+        is made; the constant series is rejected before a float copy of
+        it is made
 
 parse_chat is bounded per transcript character, on a transcript of the
-same words, 8 to an utterance: 1.75 (3.53 while the whole utterance text
-was joined and then cleaned, each cleaning pass a copy of it). Each block,
-cut before a tier line, is classified over its bytes and cleaned at once,
-so besides the document only one block's temporaries are held.
+same words, 8 to an utterance: 1.75, bound 2.0. Each block, cut before a
+tier line, is classified over its bytes and cleaned at once, so besides
+the document only one block's temporaries are held.
 
 read_token_file and parse_chat_file are bounded per byte of the file they
-read, the two texts above written to disk: 3.77 and 2.11 (4.38 and 2.75
-while each first read the whole file, which it held as bytes and then as
-a str). They read 2**18 characters at a time and hold as text only the
+read, the two texts above written to disk: 3.77, bound 4.0, and 2.11,
+bound 2.3. They read 2**18 characters at a time and hold as text only the
 chunks up to the next cut, one or two here, and one block, so the peak
-no longer grows with the file; at this size each block's temporaries set
+does not grow with the file; at this size each block's temporaries set
 most of it."""
 
 import tracemalloc
