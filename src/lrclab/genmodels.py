@@ -272,13 +272,16 @@ def _generate_uniform_copy(
     random earlier position."""
     m = params.length
     rng = _seeded_rng(params.seed)
-    new = innovations(_uniform_blocks(rng, m - 1)) + 1
+    new = innovations(_uniform_blocks(rng, m - 1))
+    new += 1
     tokens = np.empty(m, dtype=id_dtype(m))
     tokens[0] = 0
     k = 1  # ids issued before the block
     for lo, hi in _spans(1, m):
         tgt = rng.integers(0, np.arange(lo, hi))
-        i, j = np.searchsorted(new, (lo, hi))
+        # bounds of `new`'s own type: Python ints would cast all of an
+        # int32 `new` to int64 on every block
+        i, j = np.searchsorted(new, np.array((lo, hi), dtype=new.dtype))
         fresh = new[i:j] - lo
         tgt[fresh] = 0  # an innovation copies nothing
         block = tokens[lo:hi]
@@ -298,9 +301,10 @@ def generate_simon(params: ModelParams) -> TokenSequence:
     alpha = params.alpha
 
     def innovations(blocks: Iterator[np.ndarray]) -> np.ndarray:
-        steps, lo = [np.empty(0, dtype=np.int64)], 0
+        dtype = id_dtype(params.length)
+        steps, lo = [np.empty(0, dtype=dtype)], 0
         for u in blocks:
-            steps.append(np.flatnonzero(u < alpha) + lo)
+            steps.append((np.flatnonzero(u < alpha) + lo).astype(dtype))
             lo += u.size
         return np.concatenate(steps)
 

@@ -104,14 +104,16 @@ def select_rare_set(seq: TokenSequence, n: int = DEFAULT_RARITY) -> np.ndarray:
     # frequencies are clipped at top + 1, where `top` is the largest at or
     # below the target: that overflow level is weighted target + 1 so that
     # it crosses, and if f lands there, the level is the least frequency
-    # above the target. The histogram becomes the token counts in place.
+    # above the target. The histogram is scattered a block of types at a
+    # time, as np.bincount would cast the frequencies to a whole int64
+    # copy, and becomes the token counts in place.
     top = int(freqs.max())
     if top > target:
         top = int(np.max(freqs, where=freqs <= target, initial=0))
-        covered = np.bincount(np.minimum(freqs, top + 1))
-    else:
-        covered = np.bincount(freqs)
-    covered[top + 1 :] *= target + 1
+    covered = np.zeros(top + 2, dtype=np.int64)
+    for lo, hi in _spans(0, freqs.size):
+        np.add.at(covered, np.minimum(freqs[lo:hi], top + 1), 1)
+    covered[top + 1] *= target + 1
     covered[: top + 1] *= np.arange(top + 1)
     np.cumsum(covered, out=covered)
     level = int(np.searchsorted(covered, target, side="right"))
@@ -122,7 +124,7 @@ def select_rare_set(seq: TokenSequence, n: int = DEFAULT_RARITY) -> np.ndarray:
     at_level = np.flatnonzero(freqs == level)
     mask = freqs < level
     mask[at_level[np.argsort(first[at_level], kind="stable")[:take]]] = True
-    return ids[mask]
+    return ids[mask].astype(np.int64)
 
 
 def extract_intervals(seq: TokenSequence, rare: np.ndarray | Iterable[int]) -> IntervalSequence:
@@ -206,7 +208,9 @@ def fit_power_law(
 def rank_frequency(seq: TokenSequence) -> RankFrequency:
     """Exhaustive type frequencies in descending order. Only the frequencies
     are kept, so the order among tied types cannot show."""
-    return RankFrequency._adopt(np.sort(seq.type_stats[1])[::-1])
+    freqs = seq.type_stats[1].astype(np.int64)
+    freqs.sort()
+    return RankFrequency._adopt(freqs[::-1])
 
 
 def fit_heaps(curve: TypeTokenCurve) -> PowerLawFit:
@@ -237,10 +241,15 @@ def fit_zipf(rank: RankFrequency) -> PowerLawFit:
 
 def type_token_curve(seq: TokenSequence) -> TypeTokenCurve:
     """Vocabulary size V(m) over prefixes of length m, sampled at geometric
-    m (20 points per decade) and always including m = M."""
+    m (20 points per decade) and always including m = M. The first
+    positions are sorted only when they are out of order: ids that follow
+    first occurrence, as every sequence lrclab makes, have them ascending."""
     grid = _grid_to(seq.m)
-    first = np.sort(seq.type_stats[2])
-    return TypeTokenCurve(grid, np.searchsorted(first, grid, side="left"))
+    first = seq.type_stats[2]
+    if np.any(first[1:] < first[:-1]):
+        first = np.sort(first)
+    # values of `first`'s own type: others would cast all of it to int64
+    return TypeTokenCurve(grid, np.searchsorted(first, grid.astype(first.dtype), side="left"))
 
 
 @dataclass(frozen=True)

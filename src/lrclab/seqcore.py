@@ -67,9 +67,10 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 def id_dtype(m: int) -> type:
     """Integer type of the ids of a sequence of m tokens: int32 while every
     position fits, as every id lrclab issues is below the length, and
-    int64 from m = 2**31 on. Interval, frequency and rare-id arrays stay
-    int64. Every consumer reads ids of either width, and no output byte
-    depends on it."""
+    int64 from m = 2**31 on. The per-type counts and first positions of
+    `label_counts` and `TokenSequence.type_stats` take it too; interval,
+    rank-frequency and rare-id arrays stay int64. Every consumer reads ids
+    of either width, and no output byte depends on it."""
     return np.int32 if m < 2**31 else np.int64
 
 
@@ -81,17 +82,22 @@ def _spans(lo: int, hi: int) -> Iterator[tuple[int, int]]:
 
 def label_counts(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(freqs, first) over the labels 0..max of non-empty, non-negative int
-    ids: each label's count and first position (ids.size if it is absent).
+    ids: each label's count and first position (ids.size if it is absent),
+    both `id_dtype(ids.size)`, as neither exceeds the length.
 
     The scatters run one block at a time, so no whole-length temporary is
     built and a read-only `ids` is not copied, as np.bincount would."""
     m = ids.size
-    freqs = np.zeros(int(ids.max()) + 1, dtype=np.int64)
-    first = np.full(freqs.size, m, dtype=np.int64)
+    dtype = id_dtype(m)
+    freqs = np.zeros(int(ids.max()) + 1, dtype=dtype)
+    first = np.full(freqs.size, m, dtype=dtype)
+    # Operands of the array's own type: numpy 2.4 runs ufunc.at on int32
+    # with a Python 1 or an int64 arange on a slow path, 20-30 times as long
+    one = dtype(1)
     for lo, hi in _spans(0, m):
         block = ids[lo:hi]
-        np.add.at(freqs, block, 1)
-        np.minimum.at(first, block, np.arange(lo, hi))
+        np.add.at(freqs, block, one)
+        np.minimum.at(first, block, np.arange(lo, hi, dtype=dtype))
     return freqs, first
 
 
@@ -178,14 +184,17 @@ class TokenSequence(_Frozen):
     @cached_property
     def type_stats(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(ids, freqs, first) of the types that occur, in ascending id order:
-        each id's token count and first position. Equal to what
-        np.unique(tokens, return_index=True) and bincount give, for any ids,
-        but computed in O(M) without sorting the tokens. When every label
-        0..max occurs, as in every sequence lrclab makes, the per-label
-        arrays are returned as they are, not gathered into copies."""
+        each id's token count and first position, all three `id_dtype(m)`.
+        Equal to what np.unique(tokens, return_index=True) and bincount
+        give, for any ids, but computed in O(M) without sorting the tokens.
+        When every label 0..max occurs, as in every sequence lrclab makes,
+        the per-label arrays are returned as they are, not gathered into
+        copies."""
         freqs, first = label_counts(self.tokens)
-        ids = np.flatnonzero(freqs)
-        if ids.size < freqs.size:
+        if freqs.all():
+            ids = np.arange(freqs.size, dtype=freqs.dtype)
+        else:
+            ids = np.flatnonzero(freqs).astype(freqs.dtype)
             freqs, first = freqs[ids], first[ids]
         return _freeze(ids), _freeze(freqs), _freeze(first)
 

@@ -29,6 +29,7 @@ from lrclab.seqcore import (
     DataError,
     IntervalSequence,
     TokenSequence,
+    id_dtype,
     log_grid,
 )
 
@@ -84,14 +85,19 @@ def type_token_oracle(seq):
 
 
 def assert_matches_oracle(seq):
+    """Every per-type statistic equals its sorting oracle; type_stats holds
+    it at the ids' width, and the rare ids and frequency ranks are int64."""
     for got, want in zip(seq.type_stats, type_stats_oracle(seq)):
+        assert got.dtype == id_dtype(seq.m)
         assert np.array_equal(got, want)
     for n in (2, 16):
         if seq.m >= n:
             rare = select_rare_set(seq, n)
             assert isinstance(rare, np.ndarray) and rare.dtype == np.int64
             assert rare.tolist() == sorted(select_rare_set_oracle(seq, n))
-    assert np.array_equal(rank_frequency(seq).frequencies, rank_frequency_oracle(seq))
+    rank = rank_frequency(seq).frequencies
+    assert rank.dtype == np.int64
+    assert np.array_equal(rank, rank_frequency_oracle(seq))
     sizes, vocab = type_token_oracle(seq)
     curve = type_token_curve(seq)
     assert np.array_equal(curve.sizes, sizes)
@@ -530,6 +536,22 @@ class TestTypeStats:
         seq = generate(params)
         assert_matches_oracle(seq)
         assert_matches_oracle(shuffle(seq, 4))
+
+    @pytest.mark.parametrize("order", ["first occurrence", "permuted", "sparse"])
+    def test_ids_in_any_order(self, order):
+        # type_token_curve sorts the first positions only when they are out
+        # of order, as they are when the ids are permuted; sparse ids with
+        # gaps between them still follow first occurrence
+        tokens = generate(ModelParams(model="simon", length=5000, seed=6, alpha=0.3)).tokens
+        if order == "permuted":
+            tokens = np.random.default_rng(6).permutation(int(tokens.max()) + 1)[tokens]
+        elif order == "sparse":
+            tokens = tokens.astype(np.int64) * 3 + 1
+        seq = TokenSequence(tokens)
+        first = seq.type_stats[2]
+        assert bool(np.all(first[1:] > first[:-1])) == (order != "permuted")
+        assert_matches_oracle(seq)
+        assert np.all(np.diff(select_rare_set(seq)) > 0)
 
     def test_computed_once_per_analysis(self, monkeypatch):
         prop = TokenSequence.__dict__["type_stats"]

@@ -14,26 +14,31 @@ each test asserts:
         set the peak (13.5 at 2e6 tokens of 2e5 types)
     generate_bigram 16.9, bound 18: it holds a span of up to 2**20
         uniforms, 8 bytes a token at this length
-    generate: Simon alpha 0.1 9.0, Simon alpha 0.4 11.1 and conjunct
-        (0.68, 0.8) 8.4, bound 12; Pitman-Yor (0.68, 0.8) and (0, 0.8)
+    generate: Simon alpha 0.1 8.6, Simon alpha 0.4 9.3 and conjunct
+        (0.68, 0.8) 8.4, bound 10.5, Simon's innovation positions held
+        as int32; Pitman-Yor (0.68, 0.8) and (0, 0.8)
         15.8, bound 17, set by its block temporaries (9.7 at 1e6);
         Pitman-Yor and conjunct (0, 0) 4.0, bound 4.5, the ids alone, as
         they draw no random numbers
-    shuffle 15.2 and generate_zipf_iid, 50000 ranks, 13.5, bound 17
-    type_stats: Simon alpha 0.1 2.6 and Pitman-Yor (0.68, 0.8) 1.2, bound
+    shuffle 15.2 and generate_zipf_iid, 50000 ranks, 11.4, bound 17
+    type_stats: Simon alpha 0.1 1.5 and Pitman-Yor (0.68, 0.8) 0.8, bound
         6, with the per-type scatters run block by block; Simon alpha 0.4
-        9.6, bound 11, as its 0.4 M types fill the three output arrays,
-        which are the per-label arrays themselves, uncopied
+        4.8, bound 5.5, as its 0.4 M types fill the three int32 output
+        arrays, which are the per-label arrays themselves, uncopied
     rank_frequency, after type_stats: Simon alpha 0.4 3.6, bound 5, with
-        the sorted frequencies handed over uncopied and checked for order
-        without an int64 difference array
-    select_rare_set, after type_stats: Simon alpha 0.1 0.9 and Pitman-Yor
+        the int64 copy of the frequencies sorted in place, handed over
+        uncopied and checked for order without a difference array
+    type_token_curve, after type_stats: Simon alpha 0.4 0.41, Simon alpha
+        0.1 0.12 and Pitman-Yor (0.68, 0.8) 0.03, bound 0.6: the first
+        positions, already ascending, are checked for order, not sorted
+    select_rare_set, after type_stats: Simon alpha 0.1 1.1 and Pitman-Yor
         (0.68, 0.8) 1.0, bound 6, with the frequency histogram clipped at
-        the largest frequency at or below the target and turned into
-        token counts in place, and the ids kept in an array, not a set
+        the largest frequency at or below the target, scattered block by
+        block and turned into token counts in place, and the ids kept in
+        an array, not a set
     select_rare_set, extract_intervals and acf_curve, after type_stats, of
         an all-rare series, Pitman-Yor and conjunct (0, 0), which raise
-        "degenerate series": 0.02, a few kilobytes, bound 0.1: every gap
+        "degenerate series": 0.03, a few kilobytes, bound 0.1: every gap
         is 1, so the gaps are a broadcast of 1 and no whole-length array
         is made; the constant series is rejected before a float copy of
         it is made
@@ -57,19 +62,20 @@ import pytest
 
 from lrclab.corpusio import parse_chat, parse_chat_file, read_token_file, read_tokens
 from lrclab.genmodels import ModelParams, generate, generate_bigram, generate_zipf_iid, shuffle
-from lrclab.lrcstats import acf_curve, extract_intervals, rank_frequency, select_rare_set
+from lrclab.lrcstats import acf_curve, extract_intervals, rank_frequency, select_rare_set, type_token_curve
 from lrclab.seqcore import DataError
 
 TOKENS = 200_000
 # Bytes a token. Each bound is the figure above plus the margin noted.
 GENERATOR_BOUND = 17  # Pitman-Yor, shuffle and zipf: 15.8 at most, margin 1.2
-UNIFORM_COPY_BOUND = 12  # Simon and conjunct: 11.1 at most, margin 0.9
+UNIFORM_COPY_BOUND = 10.5  # Simon and conjunct: 9.3 at most, margin 1.2
 CONSTANT_BOUND = 4.5  # the (a, b) models at (0, 0), the int32 ids alone: 4.0, margin 0.5
 BIGRAM_BOUND = 18  # generate_bigram: 16.9, margin 1.1
 TYPE_STATS_BOUND = 6  # bytes a token, where the types are a small share
-MANY_TYPES_BOUND = 11  # bytes a token, type_stats of Simon alpha 0.4
+MANY_TYPES_BOUND = 5.5  # bytes a token, type_stats of Simon alpha 0.4: 4.8, margin 0.7
 RANK_FREQUENCY_BOUND = 5  # bytes a token, rank_frequency of Simon alpha 0.4
-INTERVALS_BOUND = 0.1  # bytes a token, where every token is rare: 0.02, margin 0.08
+TYPE_TOKEN_BOUND = 0.6  # bytes a token, type_token_curve: 0.41 at most, margin 0.19
+INTERVALS_BOUND = 0.1  # bytes a token, where every token is rare: 0.03, margin 0.07
 PARSE_CHAT_BOUND = 2.0  # bytes a transcript character: 1.75, margin 0.25
 # Bytes a file byte, where the text readers would first hold the whole text
 READ_TOKEN_FILE_BOUND = 4.0  # 3.77, margin 0.23
@@ -194,6 +200,9 @@ def test_type_stats(model, params):
     per_token, (_, freqs, _) = peak_bytes_per_token(lambda: seq.type_stats)
     assert int(freqs.sum()) == TOKENS
     assert per_token <= TYPE_STATS_BOUND
+    per_token, curve = peak_bytes_per_token(lambda: type_token_curve(seq))
+    assert int(curve.vocab[-1]) == freqs.size
+    assert per_token <= TYPE_TOKEN_BOUND
 
 
 def test_many_types():
@@ -206,6 +215,9 @@ def test_many_types():
     per_token, rank = peak_bytes_per_token(lambda: rank_frequency(seq))
     assert int(rank.frequencies.sum()) == TOKENS
     assert per_token <= RANK_FREQUENCY_BOUND
+    per_token, curve = peak_bytes_per_token(lambda: type_token_curve(seq))
+    assert int(curve.vocab[-1]) == rank.frequencies.size
+    assert per_token <= TYPE_TOKEN_BOUND
 
 
 @pytest.mark.parametrize("model,params", [

@@ -26,6 +26,7 @@ from lrclab.seqcore import (
     TokenSequence,
     TypeTokenCurve,
     id_dtype,
+    label_counts,
     log_grid,
     moments,
     open_output,
@@ -590,6 +591,21 @@ class TestIdDtype:
         ]
         for seq in made:
             assert seq.tokens.dtype == id_dtype(seq.m) == np.int32
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_label_counts_at_the_ids_width(self, dtype):
+        # the counts and first positions of labels 0..max take the width of
+        # the length, whatever the labels' own; an absent label's first
+        # position is the length
+        freqs, first = label_counts(np.array([4, 1, 4, 0, 1, 4], dtype=dtype))
+        assert freqs.dtype == first.dtype == id_dtype(6)
+        assert freqs.tolist() == [1, 2, 0, 0, 3]
+        assert first.tolist() == [3, 1, 6, 6, 0]
+
+    @pytest.mark.parametrize("tokens", [[0, 1, 0, 2], [2, 0, 1, 0], [9, 4, 9, 0]])
+    def test_type_stats_at_the_ids_width(self, tokens):
+        seq = TokenSequence(np.array(tokens))
+        assert [arr.dtype for arr in seq.type_stats] == [id_dtype(seq.m)] * 3
 
     def test_constructor_narrows_its_copy(self):
         arr = np.array([0, 2**31 - 1, 0], dtype=np.int64)
