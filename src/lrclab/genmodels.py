@@ -244,8 +244,8 @@ def _finish_block(block: np.ndarray, copies: np.ndarray, src: np.ndarray, fresh:
     block. The innovations, at the sorted offsets `fresh`, take the next
     ids k, k + 1, ...; each offset in `copies` copies the earlier offset
     `src` of the same block. Pointer doubling finds the end of each chain
-    of such copies in a few rounds. Checks that every copy points back and
-    that ids follow first occurrence."""
+    of such copies in a few rounds. Checks that every copy points back;
+    `TokenSequence._adopt` checks that the ids follow first occurrence."""
     assert np.all(src < copies), "a copy must point at an earlier position"
     block[fresh] = np.arange(k, k + fresh.size, dtype=block.dtype)
     ptr = np.arange(block.size)
@@ -256,11 +256,6 @@ def _finish_block(block: np.ndarray, copies: np.ndarray, src: np.ndarray, fresh:
             break
         ptr[copies] = end = hop
     block[copies] = block[end]
-    # the highest id issued up to each offset
-    issued = np.repeat(
-        np.arange(k - 1, k + fresh.size, dtype=block.dtype), np.diff(np.concatenate(([0], fresh, [block.size])))
-    )
-    assert np.all(block <= issued), "ids must follow first occurrence"
     return k + fresh.size
 
 

@@ -413,9 +413,8 @@ def write_sequence(
 ) -> None:
     """Write a generated or shuffled sequence's token file and the metadata
     sidecar beside it: model, params, seed, length and final_vocab, then
-    `degenerate: true` for the a = b = 0 models. Every producer numbers
-    its ids densely in first-occurrence order, so the largest id gives the
-    number of distinct tokens."""
+    `degenerate: true` for the a = b = 0 models. A TokenSequence's ids are
+    dense, so the largest id plus 1 is the number of distinct tokens."""
     write_token_file(seq, out_path)
     vocab = int(seq.tokens.max()) + 1
     meta = {"model": model, "params": params, "seed": seed, "length": seq.m, "final_vocab": vocab}

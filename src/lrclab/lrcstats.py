@@ -95,11 +95,12 @@ def select_rare_set(seq: TokenSequence, n: int = DEFAULT_RARITY) -> np.ndarray:
         raise DataError("rarity divisor must be at least 2")
     if seq.m < n:
         raise DataError("sequence too short")
-    ids, freqs, first = seq.type_stats
+    freqs = seq.type_stats[1]
     target = seq.m // n
     # covered[f]: tokens of all types with frequency <= f. Every type below
     # the first level f where that exceeds the target is taken; the prefix
-    # ends inside level f, whose types alone need ordering by first position.
+    # ends inside level f, whose earliest types by first position are its
+    # first in id order, as ids follow first occurrence.
     # A type above the target crosses it alone, so when there is one, the
     # frequencies are clipped at top + 1, where `top` is the largest at or
     # below the target: that overflow level is weighted target + 1 so that
@@ -121,10 +122,9 @@ def select_rare_set(seq: TokenSequence, n: int = DEFAULT_RARITY) -> np.ndarray:
     if level > top:
         level = int(freqs[freqs > target].min())
     take = -(-(target - below) // level)  # ceiling: the last type may overshoot
-    at_level = np.flatnonzero(freqs == level)
     mask = freqs < level
-    mask[at_level[np.argsort(first[at_level], kind="stable")[:take]]] = True
-    return ids[mask].astype(np.int64)
+    mask[np.flatnonzero(freqs == level)[:take]] = True
+    return np.flatnonzero(mask)
 
 
 def extract_intervals(seq: TokenSequence, rare: np.ndarray | Iterable[int]) -> IntervalSequence:
@@ -135,7 +135,7 @@ def extract_intervals(seq: TokenSequence, rare: np.ndarray | Iterable[int]) -> I
     The rare positions are the one whole-length int64 array: they are turned
     into gaps in place, a block at a time from the front, each block reading
     the still-unchanged first position of the next, and handed to the
-    IntervalSequence without a copy. When every type present is rare, every
+    IntervalSequence without a copy. When every type is rare, every
     gap is 1, and the gaps are a read-only broadcast of 1 that takes no
     memory."""
     rare_ids = np.asarray(rare, np.int64) if isinstance(rare, np.ndarray) else np.fromiter(rare, np.int64)
@@ -143,10 +143,9 @@ def extract_intervals(seq: TokenSequence, rare: np.ndarray | Iterable[int]) -> I
         raise DataError("insufficient occurrences")
     if rare_ids.min() < 0:
         raise DataError("negative symbol id")
-    present = seq.type_stats[0]
-    mask = np.zeros(int(present[-1]) + 1, dtype=bool)
-    mask[rare_ids[rare_ids < mask.size]] = True
-    if mask[present].all():
+    mask = np.zeros(seq.type_stats[0].size, dtype=bool)
+    mask[rare_ids[rare_ids < mask.size]] = True  # an id of no type is ignored
+    if mask.all():
         if seq.m < 2:
             raise DataError("insufficient occurrences")
         return IntervalSequence._adopt(np.broadcast_to(np.int64(1), seq.m - 1))
@@ -241,13 +240,11 @@ def fit_zipf(rank: RankFrequency) -> PowerLawFit:
 
 def type_token_curve(seq: TokenSequence) -> TypeTokenCurve:
     """Vocabulary size V(m) over prefixes of length m, sampled at geometric
-    m (20 points per decade) and always including m = M. The first
-    positions are sorted only when they are out of order: ids that follow
-    first occurrence, as every sequence lrclab makes, have them ascending."""
+    m (20 points per decade) and always including m = M: the number of
+    first positions below m, which are ascending, as the ids follow first
+    occurrence."""
     grid = _grid_to(seq.m)
     first = seq.type_stats[2]
-    if np.any(first[1:] < first[:-1]):
-        first = np.sort(first)
     # values of `first`'s own type: others would cast all of it to int64
     return TypeTokenCurve(grid, np.searchsorted(first, grid.astype(first.dtype), side="left"))
 

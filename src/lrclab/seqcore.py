@@ -66,8 +66,9 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def id_dtype(m: int) -> type:
     """Integer type of the ids of a sequence of m tokens: int32 while every
-    position fits, as every id lrclab issues is below the length, and
-    int64 from m = 2**31 on. The per-type counts and first positions of
+    position fits, as every id of a TokenSequence, dense in
+    first-occurrence order, is below the length, and int64 from m = 2**31
+    on. The per-type counts and first positions of
     `label_counts` and `TokenSequence.type_stats` take it too; interval,
     rank-frequency and rare-id arrays stay int64. Every consumer reads ids
     of either width, and no output byte depends on it."""
@@ -148,10 +149,13 @@ class _Frozen:
 @dataclass(frozen=True, eq=False)
 class TokenSequence(_Frozen):
     """Ordered symbol ids (one per token position) with an optional id -> surface
-    table. Ids are assigned in first-occurrence order at ingestion/generation
-    time, which makes every downstream tie-break deterministic. They are
-    stored as `id_dtype(m)`: the constructor narrows its copy, and an id
-    that does not fit is a DataError.
+    table. The ids are dense and in first-occurrence order: the first is 0,
+    and each exceeds the largest before it by at most 1, so the types are
+    0..k-1 and a type's id orders it by first position. The constructor
+    and `_adopt` both check it, a block at a time, and raise DataError
+    otherwise; `genmodels._relabel_first_occurrence` turns any labels into
+    such ids. They are stored as `id_dtype(m)`: the constructor narrows
+    its copy after the check, where every id is below the length.
     """
 
     tokens: np.ndarray
@@ -164,14 +168,22 @@ class TokenSequence(_Frozen):
             raise DataError("empty input")
         if arr.min() < 0:
             raise DataError("negative symbol id")
-        dtype = self._dtype(arr.size)
-        if arr.dtype != dtype:  # the constructor's int64 copy
-            if arr.max() > np.iinfo(dtype).max:
-                raise DataError("symbol id out of range")
-            arr = arr.astype(dtype)
+        # the largest id so far, a block at a time: it starts at 0 and
+        # rises by 1 at each new id, so its rises in a block count them
+        top, high = np.empty(min(arr.size, _BLOCK) + 1, dtype=arr.dtype), -1
+        for lo, hi in _spans(0, arr.size):
+            run = top[1 : hi - lo + 1]
+            np.maximum.accumulate(arr[lo:hi], out=run)
+            np.maximum(run, high, out=run)
+            top[0] = high
+            if int(run[-1]) - high != np.count_nonzero(run != top[: hi - lo]):
+                raise DataError("ids must be dense and in first-occurrence order")
+            high = int(run[-1])
+        # narrows the constructor's int64 copy: every id is below the length
+        arr = arr.astype(self._dtype(arr.size), copy=False)
         if self.symbols is not None:
             table = tuple(self.symbols)
-            if int(arr.max()) >= len(table):
+            if high >= len(table):
                 raise DataError("symbol table does not cover all ids")
             object.__setattr__(self, "symbols", table)
         object.__setattr__(self, "tokens", _freeze(arr))
@@ -183,20 +195,13 @@ class TokenSequence(_Frozen):
 
     @cached_property
     def type_stats(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ids, freqs, first) of the types that occur, in ascending id order:
-        each id's token count and first position, all three `id_dtype(m)`.
-        Equal to what np.unique(tokens, return_index=True) and bincount
-        give, for any ids, but computed in O(M) without sorting the tokens.
-        When every label 0..max occurs, as in every sequence lrclab makes,
-        the per-label arrays are returned as they are, not gathered into
-        copies."""
+        """(ids, freqs, first) of the types, in ascending id order: each id's
+        token count and first position, all three `id_dtype(m)`. Equal to
+        what np.unique(tokens, return_index=True) and bincount give, but
+        computed in O(M) without sorting the tokens. The ids are dense, so
+        `ids` is np.arange and `first` is ascending."""
         freqs, first = label_counts(self.tokens)
-        if freqs.all():
-            ids = np.arange(freqs.size, dtype=freqs.dtype)
-        else:
-            ids = np.flatnonzero(freqs).astype(freqs.dtype)
-            freqs, first = freqs[ids], first[ids]
-        return _freeze(ids), _freeze(freqs), _freeze(first)
+        return _freeze(np.arange(freqs.size, dtype=freqs.dtype)), _freeze(freqs), _freeze(first)
 
     def surface(self, token_id: int) -> str:
         if self.symbols is not None:

@@ -30,6 +30,8 @@ from lrclab.genmodels import (
 from lrclab.lrcstats import rank_frequency
 from lrclab.seqcore import DataError, TokenSequence, id_dtype
 
+from dense_labels import dense
+
 REPLAYS = 30_000
 
 
@@ -314,11 +316,14 @@ class TestBulkMatchesKernels:
             assert _finish_block(block, copies, src, np.array([1, 3, 5]), 1) == 4
             assert block.tolist() == [0, 1, 1, 2, 1, 3, 1, 1]
 
-    def test_finish_block_rejects_unissued_id(self):
-        block = np.array([0, 5], dtype=np.int64)
+    def test_unissued_id_refused_on_adoption(self):
+        # _finish_block leaves an id it did not issue; the sequence that
+        # adopts the ids refuses it
+        block = np.array([0, 5], dtype=id_dtype(2))
         none = np.array([], dtype=np.int64)
-        with pytest.raises(AssertionError, match="first occurrence"):
-            _finish_block(block, none, none, none, 1)
+        assert _finish_block(block, none, none, none, 1) == 1
+        with pytest.raises(DataError, match="first-occurrence order"):
+            TokenSequence._adopt(block)
 
     @staticmethod
     def _widths_agree(monkeypatch, cells):
@@ -620,8 +625,9 @@ def bigram_oracle(corpus, length, seed):
 
 _BIGRAM_CORPORA = {
     "named": TokenSequence(np.array([0, 1, 0, 2, 1, 0, 3, 2, 2, 1]), symbols=("a", "b", "c", "d")),
-    "unnamed": TokenSequence(np.random.default_rng(14).integers(0, 40, size=3000)),
-    "sparse": TokenSequence(np.random.default_rng(15).integers(0, 6, size=500) * 9 + 4),
+    "unnamed": TokenSequence(dense(np.random.default_rng(14).integers(0, 40, size=3000))),
+    # six types, relabelled from sparse labels
+    "sparse": TokenSequence(dense(np.random.default_rng(15).integers(0, 6, size=500) * 9 + 4)),
     # The last type occurs once, at the end: it has no successor, so a
     # draw that reaches it restarts from the whole corpus.
     "closing_type": TokenSequence(np.array([0, 1, 2, 1, 0, 2, 2, 1, 3]), symbols=("w", "x", "y", "z")),
@@ -653,7 +659,7 @@ class TestBigram:
 
     def test_support_containment(self):
         rng = np.random.default_rng(6)
-        corpus = TokenSequence(rng.integers(0, 20, size=2000))
+        corpus = TokenSequence(dense(rng.integers(0, 20, size=2000)))
         seq = generate_bigram(corpus, 5000, 7)
         # The output is relabelled, so pairs are compared by surface form.
         source = list(corpus.surfaces())
@@ -677,7 +683,7 @@ class TestBigram:
 
     def test_widths_counted_across_blocks(self):
         # a corpus of several counting blocks, with a type that only closes it
-        ids = np.random.default_rng(16).integers(0, 50, size=(3 << 14) + 5)
+        ids = dense(np.random.default_rng(16).integers(0, 50, size=(3 << 14) + 5))
         ids[-1] = 50
         corpus = TokenSequence(ids)
         chain = genmodels._BigramChain(corpus.tokens)
@@ -689,7 +695,7 @@ class TestBigram:
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
-        corpus = TokenSequence(rng.integers(0, 10, size=500))
+        corpus = TokenSequence(dense(rng.integers(0, 10, size=500)))
         a = generate_bigram(corpus, 3000, 11)
         b = generate_bigram(corpus, 3000, 11)
         assert np.array_equal(a.tokens, b.tokens)
@@ -757,14 +763,14 @@ def test_radix_order_is_stable_argsort(keys):
 class TestShuffle:
     def test_multiset_preserved(self):
         rng = np.random.default_rng(10)
-        seq = TokenSequence(rng.integers(0, 30, size=4000))
+        seq = TokenSequence(dense(rng.integers(0, 30, size=4000)))
         out = shuffle(seq, 5)
         # The output is relabelled, so types are compared by surface form.
         assert Counter(out.surfaces()) == Counter(seq.surfaces())
 
     def test_rank_frequency_preserved(self):
         rng = np.random.default_rng(12)
-        seq = TokenSequence(rng.integers(0, 30, size=4000))
+        seq = TokenSequence(dense(rng.integers(0, 30, size=4000)))
         out = shuffle(seq, 5)
         assert rank_frequency(out) == rank_frequency(seq)
         assert len(np.unique(out.tokens)) == len(np.unique(seq.tokens))

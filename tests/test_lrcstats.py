@@ -33,6 +33,8 @@ from lrclab.seqcore import (
     log_grid,
 )
 
+from dense_labels import dense
+
 ROMEO = "Oh Romeo Romeo wherefore art thou Romeo"
 
 
@@ -179,7 +181,7 @@ class TestSelectRareSet:
 
     def test_accumulation_rule(self):
         rng = np.random.default_rng(11)
-        tokens = rng.integers(0, 50, size=1000)
+        tokens = dense(rng.integers(0, 50, size=1000))
         seq = TokenSequence(tokens)
         rare = select_rare_set(seq, 16)
         counts = np.bincount(tokens, minlength=50)
@@ -238,7 +240,7 @@ class TestExtractIntervals:
     @given(st.lists(st.integers(0, 5), min_size=4, max_size=300))
     @settings(max_examples=50, deadline=None)
     def test_positions_reconstructable(self, ids):
-        seq = TokenSequence(np.array(ids))
+        seq = TokenSequence(dense(ids))
         rare = {0, 1}
         positions = np.flatnonzero(np.isin(seq.tokens, list(rare)))
         if positions.size < 2:
@@ -252,13 +254,13 @@ class TestExtractIntervals:
     @pytest.mark.parametrize("tokens,rare", [
         ([0, 0], [0]),
         ([0, 0, 0], [0, 5]),
-        ([3, 7, 3, 3, 7], [7, 3]),
+        ([0, 1, 0, 0, 1], [1, 0]),
         (np.zeros(10**5, dtype=np.int64), [0]),
         (np.random.default_rng(4).integers(0, 3, size=2**14 + 5), [0, 1, 2, 10**6]),
     ])
     def test_all_rare_gaps_are_a_broadcast(self, tokens, rare):
         # every type present is rare, so every gap is 1: no position is gathered
-        seq = TokenSequence(np.array(tokens))
+        seq = TokenSequence(dense(tokens))
         ints = extract_intervals(seq, rare)
         assert ints.intervals.strides == (0,) and not ints.intervals.flags.writeable
         assert np.array_equal(ints.intervals, gaps_oracle(seq.tokens, rare))
@@ -284,11 +286,13 @@ def gaps_oracle(tokens, rare):
 
 
 def with_rare_occurrences(k, rng):
-    """Tokens of length 3k over the common ids 0 and 2, with the rare id 1
-    placed at k random positions."""
+    """Tokens of length 3k over two common types, with a rare type placed
+    at k random positions, and the rare type's id."""
     tokens = rng.choice(np.array([0, 2]), size=3 * k)
-    tokens[rng.choice(3 * k, size=k, replace=False)] = 1
-    return tokens
+    at = rng.choice(3 * k, size=k, replace=False)
+    tokens[at] = 1
+    tokens = dense(tokens)
+    return tokens, int(tokens[at[0]])
 
 
 class TestExtractIntervalsInPlace:
@@ -299,7 +303,7 @@ class TestExtractIntervalsInPlace:
     @pytest.mark.parametrize("length", [2**14 - 1, 2**14, 2**14 + 1, 2**14 + 2, 2 * 2**14 + 1])
     def test_lengths_across_block_edges(self, length):
         rng = np.random.default_rng(length)
-        tokens = rng.integers(0, 6, size=length)
+        tokens = dense(rng.integers(0, 6, size=length))
         for rare in ([0], [1, 4], [0, 1, 2, 3, 4]):
             got = extract_intervals(TokenSequence(tokens), rare).intervals
             assert np.array_equal(got, gaps_oracle(tokens, rare))
@@ -307,29 +311,29 @@ class TestExtractIntervalsInPlace:
     @pytest.mark.parametrize("k", [2, 2**14, 2**14 + 1, 2**14 + 2, 2 * 2**14 + 1])
     def test_rare_occurrence_counts(self, k):
         # k occurrences give k - 1 gaps: 2**14 + 1 fills one block exactly
-        tokens = with_rare_occurrences(k, np.random.default_rng(k))
-        got = extract_intervals(TokenSequence(tokens), [1]).intervals
+        tokens, rare = with_rare_occurrences(k, np.random.default_rng(k))
+        got = extract_intervals(TokenSequence(tokens), [rare]).intervals
         assert got.size == k - 1
-        assert np.array_equal(got, gaps_oracle(tokens, [1]))
+        assert np.array_equal(got, gaps_oracle(tokens, [rare]))
 
     @pytest.mark.parametrize("length", [2, 2**14 + 1, 2 * 2**14 + 1])
     def test_all_rare(self, length):
         one_type = np.zeros(length, dtype=np.int64)
         assert np.array_equal(extract_intervals(TokenSequence(one_type), [0]).intervals,
                               np.ones(length - 1, dtype=np.int64))
-        tokens = np.random.default_rng(length).integers(0, 3, size=length)
+        tokens = dense(np.random.default_rng(length).integers(0, 3, size=length))
         got = extract_intervals(TokenSequence(tokens), [0, 1, 2]).intervals
         assert np.array_equal(got, gaps_oracle(tokens, [0, 1, 2]))
 
     def test_rare_id_above_the_largest(self):
-        tokens = np.random.default_rng(9).integers(0, 4, size=2**14 + 7)
+        tokens = dense(np.random.default_rng(9).integers(0, 4, size=2**14 + 7))
         for rare in ([1, 10**6], np.array([4, 3])):
             got = extract_intervals(TokenSequence(tokens), rare).intervals
             assert np.array_equal(got, gaps_oracle(tokens, rare))
 
     def test_gaps_read_only_and_caller_array_writable(self):
-        tokens = with_rare_occurrences(2**14 + 2, np.random.default_rng(3))
-        ints = extract_intervals(TokenSequence(tokens), [1])
+        tokens, rare = with_rare_occurrences(2**14 + 2, np.random.default_rng(3))
+        ints = extract_intervals(TokenSequence(tokens), [rare])
         assert not ints.intervals.flags.writeable
         with pytest.raises(ValueError):
             ints.intervals[0] = 5
@@ -468,14 +472,14 @@ class TestRankFrequency:
         assert rank.frequencies.tolist() == [2, 2, 1]
 
     def test_read_only(self):
-        rank = rank_frequency(TokenSequence(np.array([2, 0, 1, 0, 2, 2])))
+        rank = rank_frequency(TokenSequence(dense([2, 0, 1, 0, 2, 2])))
         assert rank.frequencies.tolist() == [3, 2, 1]
         assert not rank.frequencies.flags.writeable
 
     @given(st.lists(st.integers(0, 20), min_size=1, max_size=500))
     @settings(max_examples=50, deadline=None)
     def test_sums_to_m(self, ids):
-        seq = TokenSequence(np.array(ids))
+        seq = TokenSequence(dense(ids))
         assert int(rank_frequency(seq).frequencies.sum()) == seq.m
 
 
@@ -493,7 +497,7 @@ class TestTypeTokenCurve:
     @given(st.lists(st.integers(0, 10), min_size=1, max_size=400))
     @settings(max_examples=50, deadline=None)
     def test_final_equals_distinct_count(self, ids):
-        seq = TokenSequence(np.array(ids))
+        seq = TokenSequence(dense(ids))
         curve = type_token_curve(seq)
         assert (curve.sizes[-1], curve.vocab[-1]) == (seq.m, len(set(ids)))
 
@@ -506,10 +510,8 @@ class TestTypeStats:
         assert first.tolist() == [0, 1, 3]
 
     def test_frozen(self):
-        # sparse labels are gathered into copies, dense ones returned as they are
-        for tokens in ([4, 1, 4], [1, 0, 1]):
-            for arr in TokenSequence(np.array(tokens)).type_stats:
-                assert not arr.flags.writeable
+        for arr in TokenSequence(np.array([0, 1, 0, 2])).type_stats:
+            assert not arr.flags.writeable
 
     @given(
         st.lists(st.integers(0, 40), min_size=1, max_size=500),
@@ -518,10 +520,17 @@ class TestTypeStats:
     )
     @settings(max_examples=200, deadline=None)
     def test_sparse_ids_match_sorting_oracle(self, ids, seed, offset):
+        # sparse labels, and the same labels shuffled, are refused unless
+        # they happen to be dense ids in first-occurrence order; relabelled,
+        # every per-type statistic matches its oracle
         tokens = np.array(ids, dtype=np.int64) ** 2 + offset
-        assert_matches_oracle(TokenSequence(tokens))
         shuffled = np.random.default_rng(seed).permutation(tokens)
-        assert_matches_oracle(TokenSequence(shuffled))
+        for labels in (tokens, shuffled):
+            relabelled = dense(labels)
+            if not np.array_equal(relabelled, labels):
+                with pytest.raises(DataError, match="first-occurrence order"):
+                    TokenSequence(labels)
+            assert_matches_oracle(TokenSequence(relabelled))
 
     @pytest.mark.parametrize(
         "params",
@@ -539,17 +548,22 @@ class TestTypeStats:
 
     @pytest.mark.parametrize("order", ["first occurrence", "permuted", "sparse"])
     def test_ids_in_any_order(self, order):
-        # type_token_curve sorts the first positions only when they are out
-        # of order, as they are when the ids are permuted; sparse ids with
-        # gaps between them still follow first occurrence
-        tokens = generate(ModelParams(model="simon", length=5000, seed=6, alpha=0.3)).tokens
+        # only ids in first-occurrence order are taken: permuted ids, and
+        # sparse ids with gaps between them, are refused, and relabelling
+        # either gives back the generated ids
+        generated = generate(ModelParams(model="simon", length=5000, seed=6, alpha=0.3)).tokens
+        tokens = generated
         if order == "permuted":
             tokens = np.random.default_rng(6).permutation(int(tokens.max()) + 1)[tokens]
         elif order == "sparse":
             tokens = tokens.astype(np.int64) * 3 + 1
-        seq = TokenSequence(tokens)
+        if order != "first occurrence":
+            with pytest.raises(DataError, match="first-occurrence order"):
+                TokenSequence(tokens)
+        seq = TokenSequence(dense(tokens))
+        assert np.array_equal(seq.tokens, generated)
         first = seq.type_stats[2]
-        assert bool(np.all(first[1:] > first[:-1])) == (order != "permuted")
+        assert np.all(first[1:] > first[:-1])
         assert_matches_oracle(seq)
         assert np.all(np.diff(select_rare_set(seq)) > 0)
 
@@ -562,7 +576,7 @@ class TestTypeStats:
             return type_stats_oracle(seq)
 
         monkeypatch.setattr(prop, "func", counted)
-        seq = TokenSequence(np.random.default_rng(8).integers(0, 40, size=20000))
+        seq = TokenSequence(dense(np.random.default_rng(8).integers(0, 40, size=20000)))
         analyze(seq, n=16)
         analyze(seq, n=8)
         assert calls == [seq]
@@ -591,7 +605,8 @@ class TestJudgeLrc:
         positions = np.cumsum(np.tile([1, 3], 1000))
         tokens = np.ones(int(positions[-1]) + 1, dtype=np.int64)
         tokens[positions] = 0
-        report = analyze(TokenSequence(tokens), rare=np.array([0]))
+        tokens = dense(tokens)
+        report = analyze(TokenSequence(tokens), rare=tokens[positions[:1]])
         assert report.lrc_verdict is False
         assert [s for s, _ in report.verdict.offending] == [1, 3, 5, 7, 9]
         for points in (report.verdict.offending, report.negative_small_s_points):
@@ -677,7 +692,8 @@ class TestAnalyze:
         positions = np.cumsum(np.tile([1, 9], 1500))
         tokens = np.arange(positions[-1] + 1) % 7 + 1
         tokens[positions] = 0
-        report = analyze(TokenSequence(tokens), rare={0})
+        tokens = dense(tokens)
+        report = analyze(TokenSequence(tokens), rare={int(tokens[positions[0]])})
         assert not report.lrc_verdict
         assert report.negative_small_s_points == list(report.verdict.offending)
         assert [s for s, _ in report.negative_small_s_points] == [1, 3, 5, 7, 9]
@@ -685,7 +701,7 @@ class TestAnalyze:
 
     def test_report_dict_fields(self):
         rng = np.random.default_rng(23)
-        seq = TokenSequence(rng.integers(0, 40, size=20000))
+        seq = TokenSequence(dense(rng.integers(0, 40, size=20000)))
         report = analyze(seq, n=16)
         d = report.to_dict()
         for key in (

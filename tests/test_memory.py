@@ -14,12 +14,13 @@ each test asserts:
         set the peak (13.5 at 2e6 tokens of 2e5 types)
     generate_bigram 16.9, bound 18: it holds a span of up to 2**20
         uniforms, 8 bytes a token at this length
-    generate: Simon alpha 0.1 8.6, Simon alpha 0.4 9.3 and conjunct
-        (0.68, 0.8) 8.4, bound 10.5, Simon's innovation positions held
+    generate: Simon alpha 0.1 8.4, Simon alpha 0.4 8.8 and conjunct
+        (0.68, 0.8) 8.3, bound 10.5, Simon's innovation positions held
         as int32; Pitman-Yor (0.68, 0.8) and (0, 0.8)
-        15.8, bound 17, set by its block temporaries (9.7 at 1e6);
-        Pitman-Yor and conjunct (0, 0) 4.0, bound 4.5, the ids alone, as
-        they draw no random numbers
+        15.7, bound 17, set by its block temporaries (9.7 at 1e6);
+        Pitman-Yor and conjunct (0, 0) 4.4, bound 4.5, the ids and the
+        block of running maxima that checks their order, as they draw no
+        random numbers
     shuffle 15.2 and generate_zipf_iid, 50000 ranks, 11.4, bound 17
     type_stats: Simon alpha 0.1 1.5 and Pitman-Yor (0.68, 0.8) 0.8, bound
         6, with the per-type scatters run block by block; Simon alpha 0.4
@@ -28,14 +29,19 @@ each test asserts:
     rank_frequency, after type_stats: Simon alpha 0.4 3.6, bound 5, with
         the int64 copy of the frequencies sorted in place, handed over
         uncopied and checked for order without a difference array
-    type_token_curve, after type_stats: Simon alpha 0.4 0.41, Simon alpha
-        0.1 0.12 and Pitman-Yor (0.68, 0.8) 0.03, bound 0.6: the first
-        positions, already ascending, are checked for order, not sorted
-    select_rare_set, after type_stats: Simon alpha 0.1 1.1 and Pitman-Yor
-        (0.68, 0.8) 1.0, bound 6, with the frequency histogram clipped at
-        the largest frequency at or below the target, scattered block by
-        block and turned into token counts in place, and the ids kept in
-        an array, not a set
+    type_token_curve, after type_stats: 0.03 at most, bound 0.1: the
+        first positions of ids in first-occurrence order are ascending, so
+        they are searched as they are
+    select_rare_set, after type_stats: Simon alpha 0.1 0.8, Pitman-Yor
+        (0.68, 0.8) 1.0 and Simon alpha 0.4 2.9, bound 3.5, with the
+        frequency histogram clipped at the largest frequency at or below
+        the target, scattered block by block and turned into token counts
+        in place; the types of the last level taken are its first in id
+        order, so the int64 positions of that level (2.0 for the hapaxes
+        of Simon alpha 0.4) are its one large temporary
+    TokenSequence of the ids [0, 10**7], refused: 1.9 kilobytes in all,
+        bound 8 kilobytes: the id order is checked before any per-type
+        array, sized by the largest id, is made
     select_rare_set, extract_intervals and acf_curve, after type_stats, of
         an all-rare series, Pitman-Yor and conjunct (0, 0), which raise
         "degenerate series": 0.03, a few kilobytes, bound 0.1: every gap
@@ -63,7 +69,7 @@ import pytest
 from lrclab.corpusio import parse_chat, parse_chat_file, read_token_file, read_tokens
 from lrclab.genmodels import ModelParams, generate, generate_bigram, generate_zipf_iid, shuffle
 from lrclab.lrcstats import acf_curve, extract_intervals, rank_frequency, select_rare_set, type_token_curve
-from lrclab.seqcore import DataError
+from lrclab.seqcore import DataError, TokenSequence
 
 TOKENS = 200_000
 # Bytes a token. Each bound is the figure above plus the margin noted.
@@ -72,9 +78,11 @@ UNIFORM_COPY_BOUND = 10.5  # Simon and conjunct: 9.3 at most, margin 1.2
 CONSTANT_BOUND = 4.5  # the (a, b) models at (0, 0), the int32 ids alone: 4.0, margin 0.5
 BIGRAM_BOUND = 18  # generate_bigram: 16.9, margin 1.1
 TYPE_STATS_BOUND = 6  # bytes a token, where the types are a small share
+SELECT_RARE_SET_BOUND = 3.5  # bytes a token: 2.9 at most, margin 0.6
 MANY_TYPES_BOUND = 5.5  # bytes a token, type_stats of Simon alpha 0.4: 4.8, margin 0.7
 RANK_FREQUENCY_BOUND = 5  # bytes a token, rank_frequency of Simon alpha 0.4
-TYPE_TOKEN_BOUND = 0.6  # bytes a token, type_token_curve: 0.41 at most, margin 0.19
+TYPE_TOKEN_BOUND = 0.1  # bytes a token, type_token_curve: 0.03 at most, margin 0.07
+REFUSED_IDS_BOUND = 8192  # bytes in all, TokenSequence of [0, 10**7]: 1944, margin 6248
 INTERVALS_BOUND = 0.1  # bytes a token, where every token is rare: 0.03, margin 0.07
 PARSE_CHAT_BOUND = 2.0  # bytes a transcript character: 1.75, margin 0.25
 # Bytes a file byte, where the text readers would first hold the whole text
@@ -223,12 +231,13 @@ def test_many_types():
 @pytest.mark.parametrize("model,params", [
     ("simon", {"alpha": 0.1}),
     ("pitman_yor", {"a": 0.68, "b": 0.8}),
+    ("simon", {"alpha": 0.4}),
 ])
 def test_select_rare_set(model, params):
     seq = generate(ModelParams(model=model, length=TOKENS, seed=4, **params))
     ids, freqs, _ = seq.type_stats  # cached, so only the selection is traced
     per_token, rare = peak_bytes_per_token(lambda: select_rare_set(seq))
-    assert per_token <= TYPE_STATS_BOUND
+    assert per_token <= SELECT_RARE_SET_BOUND
     assert int(freqs[np.isin(ids, rare)].sum()) >= TOKENS // 16
 
 
@@ -245,3 +254,13 @@ def test_all_rare_intervals_and_curve(model):
 
     per_token, _ = peak_bytes_per_token(stages)
     assert per_token <= INTERVALS_BOUND
+
+
+def test_refused_ids():
+    # ids far apart: refused before a per-type array sized by the largest is made
+    def refused():
+        with pytest.raises(DataError, match="first-occurrence order"):
+            TokenSequence(np.array([0, 10**7]))
+
+    peak, _ = peak_bytes_per_token(refused, per=1)
+    assert peak <= REFUSED_IDS_BOUND

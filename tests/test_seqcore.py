@@ -42,6 +42,8 @@ from lrclab.seqcore import (
     write_type_token_csv,
 )
 
+from dense_labels import dense
+
 
 class TestMoments:
     def test_constant_series(self):
@@ -80,8 +82,8 @@ class TestTokenSequence:
             TokenSequence(np.array([], dtype=np.int64))
 
     def test_symbol_table_must_cover_ids(self):
-        with pytest.raises(DataError):
-            TokenSequence(np.array([0, 3]), symbols=("a", "b"))
+        with pytest.raises(DataError, match="symbol table does not cover all ids"):
+            TokenSequence(np.array([0, 1, 2]), symbols=("a", "b"))
 
     def test_negative_ids_rejected(self):
         with pytest.raises(DataError):
@@ -105,7 +107,7 @@ class TestTokenSequence:
         assert np.shares_memory(arr, seq.tokens) and not seq.tokens.flags.writeable
         assert seq == TokenSequence(np.array([0, 1, 0]), symbols=("a", "b"))
 
-    @pytest.mark.parametrize("tokens,symbols", [([], None), ([0, -1], None), ([0, 3], ("a", "b"))])
+    @pytest.mark.parametrize("tokens,symbols", [([], None), ([0, -1], None), ([0, 1, 2], ("a", "b"))])
     def test_adopt_validates(self, tokens, symbols):
         with pytest.raises(DataError):
             TokenSequence._adopt(np.array(tokens, dtype=id_dtype(len(tokens))), symbols=symbols)
@@ -114,6 +116,49 @@ class TestTokenSequence:
         seq = sequence_from_surface(["b", "a", "b", "c"])
         assert seq.tokens.tolist() == [0, 1, 0, 2]
         assert seq.symbols == ("b", "a", "c")
+
+
+class TestIdOrder:
+    """TokenSequence takes only ids that are dense and in first-occurrence
+    order: the first is 0, and none exceeds the largest before it by more
+    than 1. The constructor and _adopt both check it, a block of 2**14 ids
+    at a time, carrying the largest id from block to block."""
+
+    REFUSED = [[1, 0], [0, 2], [0, 1, 3], [0, 10**7], [0, 2**31]]
+
+    @pytest.mark.parametrize("tokens", REFUSED, ids=str)
+    def test_constructor_refuses(self, tokens):
+        with pytest.raises(DataError, match="ids must be dense and in first-occurrence order"):
+            TokenSequence(np.array(tokens))
+
+    @pytest.mark.parametrize("tokens", [t for t in REFUSED if max(t) < 2**31], ids=str)
+    def test_adopt_refuses(self, tokens):
+        with pytest.raises(DataError, match="ids must be dense and in first-occurrence order"):
+            TokenSequence._adopt(np.array(tokens, dtype=np.int32))
+
+    @pytest.mark.parametrize("at", [seqcore._BLOCK - 1, seqcore._BLOCK, seqcore._BLOCK + 1])
+    def test_checked_across_block_edges(self, at):
+        # ids 0..at-1, each new, then at position `at` an old id, the next
+        # new id, or one past it
+        for nxt, taken in ((0, True), (at, True), (at + 1, False)):
+            tokens = np.concatenate((np.arange(at), [nxt, 0, nxt]))
+            for make in (TokenSequence, lambda ids: TokenSequence._adopt(ids.astype(np.int32))):
+                if taken:
+                    assert make(tokens).tokens.tolist() == tokens.tolist()
+                else:
+                    with pytest.raises(DataError, match="first-occurrence order"):
+                        make(tokens)
+
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_takes_exactly_the_relabelled_labels(self, labels):
+        relabelled = dense(labels)
+        assert TokenSequence(relabelled).tokens.tolist() == relabelled.tolist()
+        if relabelled.tolist() == labels:
+            assert TokenSequence(np.array(labels)).tokens.tolist() == labels
+        else:
+            with pytest.raises(DataError, match="first-occurrence order"):
+                TokenSequence(np.array(labels))
 
 
 class TestIntervalSequence:
@@ -529,7 +574,7 @@ _source_ids = st.lists(st.integers(0, 40).map(lambda x: x * x + 3), min_size=2, 
 
 class TestProducersReturnCanonicalIds:
     """Every public producer of a TokenSequence numbers ids in first-occurrence
-    order, whatever the ids of its input."""
+    order, whatever the order of its input's tokens."""
 
     @given(
         st.sampled_from(("simon", "pitman_yor", "conjunct")),
@@ -555,7 +600,7 @@ class TestProducersReturnCanonicalIds:
     @settings(max_examples=60, deadline=None)
     def test_shuffle_and_bigram(self, ids, named, length, seed):
         symbols = tuple(f"s{i}" for i in range(max(ids) + 1)) if named else None
-        source = TokenSequence(np.array(ids), symbols=symbols)
+        source = TokenSequence(dense(ids), symbols=symbols)
         for out in (shuffle(source, seed), generate_bigram(source, length, seed)):
             assert_canonical(out)
             assert set(out.surfaces()) <= set(source.surfaces())
@@ -604,16 +649,22 @@ class TestIdDtype:
 
     @pytest.mark.parametrize("tokens", [[0, 1, 0, 2], [2, 0, 1, 0], [9, 4, 9, 0]])
     def test_type_stats_at_the_ids_width(self, tokens):
-        seq = TokenSequence(np.array(tokens))
+        # labels out of first-occurrence order are refused; relabelled,
+        # their per-type arrays take the ids' width
+        if dense(tokens).tolist() != tokens:
+            with pytest.raises(DataError, match="first-occurrence order"):
+                TokenSequence(np.array(tokens))
+        seq = TokenSequence(dense(tokens))
         assert [arr.dtype for arr in seq.type_stats] == [id_dtype(seq.m)] * 3
 
     def test_constructor_narrows_its_copy(self):
-        arr = np.array([0, 2**31 - 1, 0], dtype=np.int64)
+        arr = np.array([0, 1, 0, 2], dtype=np.int64)
         seq = TokenSequence(arr)
         assert seq.tokens.dtype == np.int32 and seq.tokens.tolist() == arr.tolist()
 
     def test_constructor_rejects_an_id_that_does_not_fit(self):
-        with pytest.raises(DataError, match="symbol id out of range"):
+        # an id that would not fit int32 skips ids below it
+        with pytest.raises(DataError, match="ids must be dense and in first-occurrence order"):
             TokenSequence(np.array([0, 2**31]))
 
     @pytest.mark.parametrize("cls,dtype", [(TokenSequence, np.int64), (TokenSequence, np.uint32),
