@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .seqcore import DataError, TokenSequence, _spans, id_dtype, label_counts
+from .seqcore import DataError, TokenSequence, _spans, id_dtype
 
 
 @dataclass
@@ -393,9 +393,19 @@ def generate(params: ModelParams) -> TokenSequence:
 
 def _relabel_first_occurrence(ids: np.ndarray) -> np.ndarray:
     """Map non-negative int labels to dense ids in first-occurrence order,
-    in place. Returns, for each new id, the label it replaces."""
-    freqs, first = label_counts(ids)
-    labels = np.flatnonzero(freqs)
+    in place. Returns, for each new id, the label it replaces.
+
+    Each label's first position, the length for a label that is absent, is
+    scattered one block at a time, as `id_dtype(m)`: no position exceeds
+    the length."""
+    m = ids.size
+    dtype = id_dtype(m)
+    first = np.full(int(ids.max()) + 1, m, dtype=dtype)
+    # Operands of the array's own type: numpy 2.4 runs ufunc.at on int32
+    # with an int64 arange on a slow path, 20-30 times as long
+    for lo, hi in _spans(0, m):
+        np.minimum.at(first, ids[lo:hi], np.arange(lo, hi, dtype=dtype))
+    labels = np.flatnonzero(first < m)
     labels = labels[np.argsort(first[labels])]
     new_id = first  # the first positions are no longer needed
     new_id[labels] = np.arange(labels.size)
@@ -475,18 +485,16 @@ class _BigramChain:
     closes the corpus. Its width is the corpus length and its start is
     succ.size, so its draw reads the corpus ids at int(x * m_c) instead."""
 
-    def __init__(self, ids: np.ndarray) -> None:
-        heads = ids[:-1]
+    def __init__(self, corpus: TokenSequence) -> None:
+        ids = corpus.tokens
         self.ids = ids
-        self.succ = _sorted_by(heads, ids[1:])
-        self.n_types = int(ids.max()) + 1
-        # counted block by block, as np.bincount would cast the heads to an
-        # int64 copy; then narrowed to the ids' type, which holds every start
-        # and width
-        width = np.zeros(self.n_types + 1, dtype=np.int64)
-        for lo, hi in _spans(0, heads.size):
-            np.add.at(width, heads[lo:hi], 1)
-        self.width = width.astype(ids.dtype)
+        self.succ = _sorted_by(ids[:-1], ids[1:])
+        self.n_types = corpus.k
+        # every occurrence of a type but the corpus's last token has a
+        # successor; the ids' type holds every start and width
+        self.width = np.zeros(self.n_types + 1, dtype=ids.dtype)
+        self.width[:-1] = corpus.counts
+        self.width[ids[-1]] -= 1
         self.start = np.cumsum(self.width, dtype=ids.dtype)
         self.start -= self.width
         restart = self.width == 0
@@ -601,7 +609,7 @@ def generate_bigram(corpus: TokenSequence, length: int, seed: int) -> TokenSeque
     if length < 1:
         raise DataError("parameter out of range: length must be >= 1")
     rng = _seeded_rng(seed)
-    chain = _BigramChain(corpus.tokens)
+    chain = _BigramChain(corpus)
     padded = -(-length // _LANE) * _LANE
     out = np.empty(padded, dtype=id_dtype(length))
     u = np.empty(min(_SPAN, padded))

@@ -25,7 +25,6 @@ from .genmodels import MODEL_PARAMS, ModelParams, generate
 from .seqcore import (
     DataError,
     TokenSequence,
-    _csv_text,
     _read_csv,
     _write_csv,
     moments,
@@ -381,10 +380,8 @@ def emit_figure_data(
         rows = _read_csv(src / "aggregates.csv", ",".join(columns))
         frac = columns.index("lrc_fraction")
         name = "sweep_map.csv"
-        text = _csv_text(
-            ",".join(cell_cols + ["lrc_fraction"]),
-            (",".join(row[: len(cell_cols)] + [row[frac]]) for row in rows),
-        )
+        header = ",".join(cell_cols + ["lrc_fraction"])
+        lines = (",".join(row[: len(cell_cols)] + [row[frac]]) for row in rows)
         roles = dict(zip(("x", "y", "value"), cell_cols + ["lrc_fraction"]))
         manifest["files"].append({"file": name, **roles})
     else:
@@ -402,8 +399,11 @@ def emit_figure_data(
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open_output(out / name) as fh:
-        fh.write(text)
+    if figure_id == "sweep_map":
+        _write_csv(out / name, header, lines)
+    else:
+        with open_output(out / name) as fh:
+            fh.write(text)
     write_json(out / "manifest.json", manifest)
     return manifest
 
@@ -412,12 +412,11 @@ def write_sequence(
     seq: TokenSequence, out_path: str | Path, model: str, params: dict, seed: int, degenerate: bool = False
 ) -> None:
     """Write a generated or shuffled sequence's token file and the metadata
-    sidecar beside it: model, params, seed, length and final_vocab, then
-    `degenerate: true` for the a = b = 0 models. A TokenSequence's ids are
-    dense, so the largest id plus 1 is the number of distinct tokens."""
+    sidecar beside it: model, params, seed, length and final_vocab, the
+    number of types `seq.k`, then `degenerate: true` for the a = b = 0
+    models."""
     write_token_file(seq, out_path)
-    vocab = int(seq.tokens.max()) + 1
-    meta = {"model": model, "params": params, "seed": seed, "length": seq.m, "final_vocab": vocab}
+    meta = {"model": model, "params": params, "seed": seed, "length": seq.m, "final_vocab": seq.k}
     if degenerate:
         meta["degenerate"] = True
     write_json(f"{out_path}.meta.json", meta)

@@ -95,7 +95,7 @@ def select_rare_set(seq: TokenSequence, n: int = DEFAULT_RARITY) -> np.ndarray:
         raise DataError("rarity divisor must be at least 2")
     if seq.m < n:
         raise DataError("sequence too short")
-    freqs = seq.type_stats[1]
+    freqs = seq.counts
     target = seq.m // n
     # covered[f]: tokens of all types with frequency <= f. Every type below
     # the first level f where that exceeds the target is taken; the prefix
@@ -123,7 +123,14 @@ def select_rare_set(seq: TokenSequence, n: int = DEFAULT_RARITY) -> np.ndarray:
         level = int(freqs[freqs > target].min())
     take = -(-(target - below) // level)  # ceiling: the last type may overshoot
     mask = freqs < level
-    mask[np.flatnonzero(freqs == level)[:take]] = True
+    # the first `take` types of the level, marked a block of types at a
+    # time, so that no index array of the whole level is made
+    for lo, hi in _spans(0, freqs.size):
+        if not take:
+            break
+        at = np.flatnonzero(freqs[lo:hi] == level)[:take]
+        mask[lo:hi][at] = True
+        take -= at.size
     return np.flatnonzero(mask)
 
 
@@ -143,7 +150,7 @@ def extract_intervals(seq: TokenSequence, rare: np.ndarray | Iterable[int]) -> I
         raise DataError("insufficient occurrences")
     if rare_ids.min() < 0:
         raise DataError("negative symbol id")
-    mask = np.zeros(seq.type_stats[0].size, dtype=bool)
+    mask = np.zeros(seq.k, dtype=bool)
     mask[rare_ids[rare_ids < mask.size]] = True  # an id of no type is ignored
     if mask.all():
         if seq.m < 2:
@@ -207,7 +214,7 @@ def fit_power_law(
 def rank_frequency(seq: TokenSequence) -> RankFrequency:
     """Exhaustive type frequencies in descending order. Only the frequencies
     are kept, so the order among tied types cannot show."""
-    freqs = seq.type_stats[1].astype(np.int64)
+    freqs = seq.counts.astype(np.int64)
     freqs.sort()
     return RankFrequency._adopt(freqs[::-1])
 
@@ -240,13 +247,15 @@ def fit_zipf(rank: RankFrequency) -> PowerLawFit:
 
 def type_token_curve(seq: TokenSequence) -> TypeTokenCurve:
     """Vocabulary size V(m) over prefixes of length m, sampled at geometric
-    m (20 points per decade) and always including m = M: the number of
-    first positions below m, which are ascending, as the ids follow first
-    occurrence."""
+    m (20 points per decade) and always including m = M: the largest id of
+    the prefix plus 1, as the ids are dense and follow first occurrence.
+    The largest id of each stretch between grid points, accumulated, is
+    that of each prefix."""
     grid = _grid_to(seq.m)
-    first = seq.type_stats[2]
-    # values of `first`'s own type: others would cast all of it to int64
-    return TypeTokenCurve(grid, np.searchsorted(first, grid.astype(first.dtype), side="left"))
+    top = np.maximum.reduceat(seq.tokens, np.concatenate(([0], grid[:-1])))
+    np.maximum.accumulate(top, out=top)
+    top += 1
+    return TypeTokenCurve(grid, top)
 
 
 @dataclass(frozen=True)

@@ -68,10 +68,9 @@ def id_dtype(m: int) -> type:
     """Integer type of the ids of a sequence of m tokens: int32 while every
     position fits, as every id of a TokenSequence, dense in
     first-occurrence order, is below the length, and int64 from m = 2**31
-    on. The per-type counts and first positions of
-    `label_counts` and `TokenSequence.type_stats` take it too; interval,
-    rank-frequency and rare-id arrays stay int64. Every consumer reads ids
-    of either width, and no output byte depends on it."""
+    on. `TokenSequence.counts` takes it too, as no count exceeds the
+    length; interval, rank-frequency and rare-id arrays stay int64. Every
+    consumer reads ids of either width, and no output byte depends on it."""
     return np.int32 if m < 2**31 else np.int64
 
 
@@ -79,27 +78,6 @@ def _spans(lo: int, hi: int) -> Iterator[tuple[int, int]]:
     """Consecutive [start, stop) blocks of at most _BLOCK covering [lo, hi)."""
     for start in range(lo, hi, _BLOCK):
         yield start, min(start + _BLOCK, hi)
-
-
-def label_counts(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(freqs, first) over the labels 0..max of non-empty, non-negative int
-    ids: each label's count and first position (ids.size if it is absent),
-    both `id_dtype(ids.size)`, as neither exceeds the length.
-
-    The scatters run one block at a time, so no whole-length temporary is
-    built and a read-only `ids` is not copied, as np.bincount would."""
-    m = ids.size
-    dtype = id_dtype(m)
-    freqs = np.zeros(int(ids.max()) + 1, dtype=dtype)
-    first = np.full(freqs.size, m, dtype=dtype)
-    # Operands of the array's own type: numpy 2.4 runs ufunc.at on int32
-    # with a Python 1 or an int64 arange on a slow path, 20-30 times as long
-    one = dtype(1)
-    for lo, hi in _spans(0, m):
-        block = ids[lo:hi]
-        np.add.at(freqs, block, one)
-        np.minimum.at(first, block, np.arange(lo, hi, dtype=dtype))
-    return freqs, first
 
 
 _F = TypeVar("_F", bound="_Frozen")
@@ -155,7 +133,9 @@ class TokenSequence(_Frozen):
     and `_adopt` both check it, a block at a time, and raise DataError
     otherwise; `genmodels._relabel_first_occurrence` turns any labels into
     such ids. They are stored as `id_dtype(m)`: the constructor narrows
-    its copy after the check, where every id is below the length.
+    its copy after the check, where every id is below the length. The
+    check keeps the largest id, so the read-only int `k`, the number of
+    types, is that plus 1.
     """
 
     tokens: np.ndarray
@@ -187,6 +167,7 @@ class TokenSequence(_Frozen):
                 raise DataError("symbol table does not cover all ids")
             object.__setattr__(self, "symbols", table)
         object.__setattr__(self, "tokens", _freeze(arr))
+        object.__setattr__(self, "k", high + 1)
 
     @property
     def m(self) -> int:
@@ -194,14 +175,17 @@ class TokenSequence(_Frozen):
         return int(self.tokens.size)
 
     @cached_property
-    def type_stats(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ids, freqs, first) of the types, in ascending id order: each id's
-        token count and first position, all three `id_dtype(m)`. Equal to
-        what np.unique(tokens, return_index=True) and bincount give, but
-        computed in O(M) without sorting the tokens. The ids are dense, so
-        `ids` is np.arange and `first` is ascending."""
-        freqs, first = label_counts(self.tokens)
-        return _freeze(np.arange(freqs.size, dtype=freqs.dtype)), _freeze(freqs), _freeze(first)
+    def counts(self) -> np.ndarray:
+        """The token count of each type 0..k-1, read-only, as `id_dtype(m)`.
+        Scattered one block at a time, so no whole-length temporary is
+        built and the read-only ids are not copied, as np.bincount would."""
+        counts = np.zeros(self.k, dtype=self.tokens.dtype)
+        # An operand of the array's own type: numpy 2.4 runs ufunc.at on
+        # int32 with a Python 1 on a slow path, 20-30 times as long
+        one = counts.dtype.type(1)
+        for lo, hi in _spans(0, self.m):
+            np.add.at(counts, self.tokens[lo:hi], one)
+        return _freeze(counts)
 
     def surface(self, token_id: int) -> str:
         if self.symbols is not None:
@@ -444,7 +428,7 @@ def write_token_file(seq: TokenSequence, path: str | Path) -> None:
         if "" in seq.symbols or joined.split() != [joined]:
             bad = next(s for s in seq.symbols if s.split() != [s])
             raise DataError(f"symbol {bad!r} is not one token: it is empty or holds whitespace")
-    names = seq.symbols or list(map(seq.surface, range(int(seq.tokens.max()) + 1)))
+    names = seq.symbols or list(map(seq.surface, range(seq.k)))
     table = np.array(names, dtype=object)
     # One block of lines at a time; each block ends in a newline, as the file does.
     with open_output(path) as fh:
@@ -453,12 +437,9 @@ def write_token_file(seq: TokenSequence, path: str | Path) -> None:
             fh.write("\n")
 
 
-def _csv_text(header: str, rows: Iterable[str]) -> str:
-    return "\n".join(chain((header,), rows)) + "\n"
-
-
 def _write_csv(path: str | Path, header: str, rows: Iterable[str]) -> None:
-    """The bytes of _csv_text(header, rows), written _BLOCK rows at a time."""
+    """The header line, then one line per row, each ending in a newline,
+    written _BLOCK rows at a time."""
     rows = iter(rows)
     with open_output(path) as fh:
         fh.write(header + "\n")

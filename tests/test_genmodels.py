@@ -520,7 +520,8 @@ class TestPitmanYor:
                 generate(ModelParams(model=model, length=length, seed=seed, a=a, b=b))
                 for model in ("pitman_yor", "conjunct")
             )
-            assert np.array_equal(py.type_stats[2], cj.type_stats[2])
+            first_py, first_cj = (np.unique(seq.tokens, return_index=True)[1] for seq in (py, cj))
+            assert np.array_equal(first_py, first_cj)
 
     @pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.68, 0.0)])
     def test_length_four_law(self, a, b):
@@ -686,7 +687,7 @@ class TestBigram:
         ids = dense(np.random.default_rng(16).integers(0, 50, size=(3 << 14) + 5))
         ids[-1] = 50
         corpus = TokenSequence(ids)
-        chain = genmodels._BigramChain(corpus.tokens)
+        chain = genmodels._BigramChain(corpus)
         want = np.bincount(ids[:-1], minlength=52)
         assert chain.width.dtype == corpus.tokens.dtype
         assert np.array_equal(chain.width[want > 0], want[want > 0])

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -50,12 +51,11 @@ def acf_oracle(series, s):
 
 
 # Sort-based per-type statistics: the formulas the analysis used before
-# `TokenSequence.type_stats`, kept as the oracle for it.
+# `TokenSequence.counts`, kept as the oracles for it and its consumers.
 
 
-def type_stats_oracle(seq):
-    ids, first = np.unique(seq.tokens, return_index=True)
-    return ids, np.bincount(seq.tokens)[ids], first
+def counts_oracle(seq):
+    return np.bincount(seq.tokens)
 
 
 def select_rare_set_oracle(seq, n):
@@ -87,11 +87,12 @@ def type_token_oracle(seq):
 
 
 def assert_matches_oracle(seq):
-    """Every per-type statistic equals its sorting oracle; type_stats holds
-    it at the ids' width, and the rare ids and frequency ranks are int64."""
-    for got, want in zip(seq.type_stats, type_stats_oracle(seq)):
-        assert got.dtype == id_dtype(seq.m)
-        assert np.array_equal(got, want)
+    """Every per-type statistic equals its sorting oracle; counts holds the
+    k types' counts at the ids' width, and the rare ids and frequency ranks
+    are int64."""
+    assert seq.counts.dtype == id_dtype(seq.m)
+    assert np.array_equal(seq.counts, counts_oracle(seq))
+    assert seq.counts.size == seq.k
     for n in (2, 16):
         if seq.m >= n:
             rare = select_rare_set(seq, n)
@@ -504,14 +505,15 @@ class TestTypeTokenCurve:
 
 class TestTypeStats:
     def test_small_example(self):
-        ids, freqs, first = read_tokens("b a b c a b").type_stats
-        assert ids.tolist() == [0, 1, 2]
-        assert freqs.tolist() == [3, 2, 1]
-        assert first.tolist() == [0, 1, 3]
+        seq = read_tokens("b a b c a b")
+        assert seq.k == 3
+        assert seq.counts.tolist() == [3, 2, 1]
 
     def test_frozen(self):
-        for arr in TokenSequence(np.array([0, 1, 0, 2])).type_stats:
-            assert not arr.flags.writeable
+        seq = TokenSequence(np.array([0, 1, 0, 2]))
+        assert not seq.counts.flags.writeable
+        with pytest.raises(FrozenInstanceError):
+            seq.k = 4
 
     @given(
         st.lists(st.integers(0, 40), min_size=1, max_size=500),
@@ -562,18 +564,18 @@ class TestTypeStats:
                 TokenSequence(tokens)
         seq = TokenSequence(dense(tokens))
         assert np.array_equal(seq.tokens, generated)
-        first = seq.type_stats[2]
+        _, first = np.unique(seq.tokens, return_index=True)
         assert np.all(first[1:] > first[:-1])
         assert_matches_oracle(seq)
         assert np.all(np.diff(select_rare_set(seq)) > 0)
 
     def test_computed_once_per_analysis(self, monkeypatch):
-        prop = TokenSequence.__dict__["type_stats"]
+        prop = TokenSequence.__dict__["counts"]
         calls = []
 
         def counted(seq):
             calls.append(seq)
-            return type_stats_oracle(seq)
+            return counts_oracle(seq)
 
         monkeypatch.setattr(prop, "func", counted)
         seq = TokenSequence(dense(np.random.default_rng(8).integers(0, 40, size=20000)))

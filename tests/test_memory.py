@@ -22,27 +22,26 @@ each test asserts:
         block of running maxima that checks their order, as they draw no
         random numbers
     shuffle 15.2 and generate_zipf_iid, 50000 ranks, 11.4, bound 17
-    type_stats: Simon alpha 0.1 1.5 and Pitman-Yor (0.68, 0.8) 0.8, bound
-        6, with the per-type scatters run block by block; Simon alpha 0.4
-        4.8, bound 5.5, as its 0.4 M types fill the three int32 output
-        arrays, which are the per-label arrays themselves, uncopied
-    rank_frequency, after type_stats: Simon alpha 0.4 3.6, bound 5, with
-        the int64 copy of the frequencies sorted in place, handed over
+    counts: Simon alpha 0.1 0.76 and Pitman-Yor (0.68, 0.8) 0.41, bound
+        1.0, with the scatter run block by block; Simon alpha 0.4 1.95,
+        bound 2.3, as its 0.4 M types fill the one int32 count array
+    rank_frequency, after counts: Simon alpha 0.4 3.6, bound 5, with the
+        int64 copy of the frequencies sorted in place, handed over
         uncopied and checked for order without a difference array
-    type_token_curve, after type_stats: 0.03 at most, bound 0.1: the
-        first positions of ids in first-occurrence order are ascending, so
-        they are searched as they are
-    select_rare_set, after type_stats: Simon alpha 0.1 0.8, Pitman-Yor
-        (0.68, 0.8) 1.0 and Simon alpha 0.4 2.9, bound 3.5, with the
+    type_token_curve: 0.03 at most, bound 0.1: V(m) is the largest id of
+        the prefix plus 1, read off the ids with no per-type array
+    select_rare_set, after counts: Simon alpha 0.1 0.81, Pitman-Yor
+        (0.68, 0.8) 0.99 and Simon alpha 0.4 1.41, bound 1.7, with the
         frequency histogram clipped at the largest frequency at or below
         the target, scattered block by block and turned into token counts
         in place; the types of the last level taken are its first in id
-        order, so the int64 positions of that level (2.0 for the hapaxes
-        of Simon alpha 0.4) are its one large temporary
+        order, marked a block of types at a time, so no index array of the
+        whole level is made (2.0 for the hapaxes of Simon alpha 0.4, when
+        it was)
     TokenSequence of the ids [0, 10**7], refused: 1.9 kilobytes in all,
         bound 8 kilobytes: the id order is checked before any per-type
         array, sized by the largest id, is made
-    select_rare_set, extract_intervals and acf_curve, after type_stats, of
+    select_rare_set, extract_intervals and acf_curve, after counts, of
         an all-rare series, Pitman-Yor and conjunct (0, 0), which raise
         "degenerate series": 0.03, a few kilobytes, bound 0.1: every gap
         is 1, so the gaps are a broadcast of 1 and no whole-length array
@@ -77,9 +76,9 @@ GENERATOR_BOUND = 17  # Pitman-Yor, shuffle and zipf: 15.8 at most, margin 1.2
 UNIFORM_COPY_BOUND = 10.5  # Simon and conjunct: 9.3 at most, margin 1.2
 CONSTANT_BOUND = 4.5  # the (a, b) models at (0, 0), the int32 ids alone: 4.0, margin 0.5
 BIGRAM_BOUND = 18  # generate_bigram: 16.9, margin 1.1
-TYPE_STATS_BOUND = 6  # bytes a token, where the types are a small share
-SELECT_RARE_SET_BOUND = 3.5  # bytes a token: 2.9 at most, margin 0.6
-MANY_TYPES_BOUND = 5.5  # bytes a token, type_stats of Simon alpha 0.4: 4.8, margin 0.7
+TYPE_STATS_BOUND = 1.0  # counts, where the types are a small share: 0.76 at most, margin 0.24
+SELECT_RARE_SET_BOUND = 1.7  # bytes a token: 1.41 at most, margin 0.29
+MANY_TYPES_BOUND = 2.3  # bytes a token, counts of Simon alpha 0.4: 1.95, margin 0.35
 RANK_FREQUENCY_BOUND = 5  # bytes a token, rank_frequency of Simon alpha 0.4
 TYPE_TOKEN_BOUND = 0.1  # bytes a token, type_token_curve: 0.03 at most, margin 0.07
 REFUSED_IDS_BOUND = 8192  # bytes in all, TokenSequence of [0, 10**7]: 1944, margin 6248
@@ -205,11 +204,11 @@ def test_generate_zipf_iid(simon):
 def test_type_stats(model, params):
     # a generated sequence's tokens are read-only, like every TokenSequence's
     seq = generate(ModelParams(model=model, length=TOKENS, seed=4, **params))
-    per_token, (_, freqs, _) = peak_bytes_per_token(lambda: seq.type_stats)
-    assert int(freqs.sum()) == TOKENS
+    per_token, counts = peak_bytes_per_token(lambda: seq.counts)
+    assert int(counts.sum()) == TOKENS
     assert per_token <= TYPE_STATS_BOUND
     per_token, curve = peak_bytes_per_token(lambda: type_token_curve(seq))
-    assert int(curve.vocab[-1]) == freqs.size
+    assert int(curve.vocab[-1]) == counts.size
     assert per_token <= TYPE_TOKEN_BOUND
 
 
@@ -217,8 +216,8 @@ def test_many_types():
     # Simon alpha 0.4 makes a new type at 0.4 of its positions, so its
     # per-type arrays are about as long as the sequence
     seq = generate(ModelParams(model="simon", length=TOKENS, seed=4, alpha=0.4))
-    per_token, (_, freqs, _) = peak_bytes_per_token(lambda: seq.type_stats)
-    assert int(freqs.sum()) == TOKENS
+    per_token, counts = peak_bytes_per_token(lambda: seq.counts)
+    assert int(counts.sum()) == TOKENS
     assert per_token <= MANY_TYPES_BOUND
     per_token, rank = peak_bytes_per_token(lambda: rank_frequency(seq))
     assert int(rank.frequencies.sum()) == TOKENS
@@ -235,10 +234,10 @@ def test_many_types():
 ])
 def test_select_rare_set(model, params):
     seq = generate(ModelParams(model=model, length=TOKENS, seed=4, **params))
-    ids, freqs, _ = seq.type_stats  # cached, so only the selection is traced
+    seq.counts  # cached, so only the selection is traced
     per_token, rare = peak_bytes_per_token(lambda: select_rare_set(seq))
     assert per_token <= SELECT_RARE_SET_BOUND
-    assert int(freqs[np.isin(ids, rare)].sum()) >= TOKENS // 16
+    assert int(seq.counts[rare].sum()) >= TOKENS // 16
 
 
 @pytest.mark.parametrize("model", ["pitman_yor", "conjunct"])
@@ -246,7 +245,7 @@ def test_all_rare_intervals_and_curve(model):
     # (0, 0) repeats one type, which is then the whole rare set: the gap
     # series is as long as the sequence, and constant
     seq = generate(ModelParams(model=model, length=TOKENS, seed=4, a=0.0, b=0.0))
-    seq.type_stats  # cached, as analyze has it before the interval stages
+    seq.counts  # cached, as analyze has it before the interval stages
 
     def stages():
         with pytest.raises(DataError, match="degenerate series"):

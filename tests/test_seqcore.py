@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import lrclab
 from lrclab import seqcore
 from lrclab.corpusio import extract_speaker_with_stats, parse_chat, read_token_file, read_tokens
-from lrclab.genmodels import ModelParams, generate, generate_bigram, generate_zipf_iid, shuffle
+from lrclab.genmodels import ModelParams, _relabel_first_occurrence, generate, generate_bigram, generate_zipf_iid, shuffle
 from lrclab.lrcstats import acf_curve, autocorrelation
 from lrclab.seqcore import (
     GRID_PER_DECADE,
@@ -26,7 +26,6 @@ from lrclab.seqcore import (
     TokenSequence,
     TypeTokenCurve,
     id_dtype,
-    label_counts,
     log_grid,
     moments,
     open_output,
@@ -473,11 +472,12 @@ class TestRoundTrips:
         offsets = np.arange(1, rows + 1)
         values = np.cos(offsets) / 3
         lines = [f"{s},{c!r}" for s, c in zip(offsets.tolist(), values.tolist())]
+        want = "".join(f"{line}\n" for line in ["s,c", *lines]).encode()
         seqcore._write_csv(tmp_path / "rows.csv", "s,c", iter(lines))
-        assert (tmp_path / "rows.csv").read_bytes() == seqcore._csv_text("s,c", lines).encode()
+        assert (tmp_path / "rows.csv").read_bytes() == want
         if rows:
             write_acf_csv(AcfCurve(offsets, values, source_length=100 * rows), tmp_path / "acf.csv")
-            assert (tmp_path / "acf.csv").read_bytes() == seqcore._csv_text("s,c", lines).encode()
+            assert (tmp_path / "acf.csv").read_bytes() == want
             write_intervals_csv(IntervalSequence(offsets), tmp_path / "intervals.csv")
             want = "interval\n" + "".join(f"{s}\n" for s in offsets.tolist())
             assert (tmp_path / "intervals.csv").read_bytes() == want.encode()
@@ -561,12 +561,13 @@ def test_value_type_equality_and_length(cls, kwargs, length, changes):
 
 
 def assert_canonical(seq):
-    """Ids are dense and numbered in order of first occurrence, and a symbol
-    table has one entry per id."""
-    ids, _, first = seq.type_stats
+    """Ids are dense and numbered in order of first occurrence, `k` is the
+    number of distinct ids, and a symbol table has one entry per id."""
+    ids, first = np.unique(seq.tokens, return_index=True)
+    assert seq.k == ids.size
     assert np.array_equal(ids, np.arange(ids.size))
     assert np.all(np.diff(first) > 0)
-    assert seq.symbols is None or len(seq.symbols) == ids.size
+    assert seq.symbols is None or len(seq.symbols) == seq.k
 
 
 _source_ids = st.lists(st.integers(0, 40).map(lambda x: x * x + 3), min_size=2, max_size=200)
@@ -638,24 +639,26 @@ class TestIdDtype:
             assert seq.tokens.dtype == id_dtype(seq.m) == np.int32
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
-    def test_label_counts_at_the_ids_width(self, dtype):
-        # the counts and first positions of labels 0..max take the width of
-        # the length, whatever the labels' own; an absent label's first
-        # position is the length
-        freqs, first = label_counts(np.array([4, 1, 4, 0, 1, 4], dtype=dtype))
-        assert freqs.dtype == first.dtype == id_dtype(6)
-        assert freqs.tolist() == [1, 2, 0, 0, 3]
-        assert first.tolist() == [3, 1, 6, 6, 0]
+    def test_relabel_at_the_ids_width(self, dtype):
+        # zipf-style ranks with gaps, some above the length: the absent
+        # labels get no id, and the ids are written in place at the labels'
+        # own width, whatever the width of the length
+        ranks = np.array([4, 1, 4, 0, 1, 4, 10**6, 1], dtype=dtype)
+        labels = _relabel_first_occurrence(ranks)
+        assert ranks.dtype == dtype
+        assert ranks.tolist() == [0, 1, 0, 2, 1, 0, 3, 1]
+        assert labels.tolist() == [4, 1, 0, 10**6]
 
     @pytest.mark.parametrize("tokens", [[0, 1, 0, 2], [2, 0, 1, 0], [9, 4, 9, 0]])
     def test_type_stats_at_the_ids_width(self, tokens):
         # labels out of first-occurrence order are refused; relabelled,
-        # their per-type arrays take the ids' width
+        # their per-type counts take the ids' width
         if dense(tokens).tolist() != tokens:
             with pytest.raises(DataError, match="first-occurrence order"):
                 TokenSequence(np.array(tokens))
         seq = TokenSequence(dense(tokens))
-        assert [arr.dtype for arr in seq.type_stats] == [id_dtype(seq.m)] * 3
+        assert seq.counts.dtype == seq.tokens.dtype == id_dtype(seq.m)
+        assert seq.counts.size == seq.k == len(set(tokens))
 
     def test_constructor_narrows_its_copy(self):
         arr = np.array([0, 1, 0, 2], dtype=np.int64)
