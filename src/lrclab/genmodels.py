@@ -1,19 +1,17 @@
 """Seeded generative processes over an unbounded symbol vocabulary.
 
-Three incremental models share one copy mechanism: every element after
-the first is either new or a copy of an earlier position. The
-constant-innovation / uniform-reuse model ("rich get richer") and the
-conjunct model copy a uniformly random earlier position and differ only
-in their innovation rule (a constant rate, or the (a, b) rate); the
-two-parameter (a, b) model reuses type i with weight counts[i] - a,
-which it draws as a copy of a first or a later occurrence. The bulk
-generators write their ids one block of positions at a time, as soon as
-the block's draws are in; no per-position pointer array outlives its
-block. Besides the ids, a generator holds only the positions of its
-innovations and, for the (a, b) model, the ids of its later occurrences.
-Three reference generators round out the set: an i.i.d. sampler
-with an exact power-law rank distribution, a first-order Markov resampler
-of a corpus, and a word-level shuffler.
+The three incremental models are one process with two rules: every
+element after the first is new, at a constant rate (Simon, "rich get
+richer") or at the (a, b) rate (Pitman-Yor, conjunct), or else it reuses
+an earlier one, by a uniform copy of an earlier position (Simon,
+conjunct) or by the discounted copy of Pitman-Yor, type i with weight
+counts[i] - a. One block loop runs all three, with the two rules as its
+arguments; it writes the ids one block of positions at a time, as soon as
+the block's draws are in. Besides the ids, a generator holds only the
+positions of its innovations and, for Pitman-Yor, the ids of its later
+occurrences. Three reference generators round out the set: an i.i.d.
+sampler with an exact power-law rank distribution, a first-order Markov
+resampler of a corpus, and a word-level shuffler.
 
 All randomness comes from numpy's PCG64 generator seeded explicitly, so a
 (parameters, seed) pair reproduces the same sequence on any platform.
@@ -22,7 +20,9 @@ Every sequence starts from the same state: one type with one occurrence.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -40,8 +40,8 @@ class GeneratorState:
     type's first occurrence weighs 1 - a and each later one weighs 1, so
     a reuse picks a uniform type or a uniform entry of `later` (see
     `pitman_yor_next`). The shared starting point is one type with one
-    occurrence (t = 1). The bulk `generate_pitman_yor` builds the same
-    list as its `later_ids` array, one block of ids at a time.
+    occurrence (t = 1). `_discounted_reuse`, Pitman-Yor's reuse rule in
+    the bulk block loop, builds the same list as its `later_ids` array.
     """
 
     t: int
@@ -183,11 +183,9 @@ def conjunct_next(past: Sequence[int], a: float, b: float, rng: np.random.Genera
 
 
 # ---------------------------------------------------------------------------
-# Bulk generators. Each writes its ids one block of positions at a time, as
-# soon as the block's random draws are in: a copy of an earlier block takes
-# that block's id in one gather, an innovation the next id, and a copy
-# inside the block follows its chain there. Only the (a, b) innovation
-# decisions, which depend on the vocabulary so far, run as a scalar loop.
+# Bulk generators: one block loop, `_generate_blocks`, over an innovation
+# rule and a reuse rule. Only the (a, b) innovation decisions, which depend
+# on the vocabulary so far, run as a scalar loop.
 # ---------------------------------------------------------------------------
 
 
@@ -221,7 +219,7 @@ def _eta_innovations(blocks: Iterable[np.ndarray], a: float, b: float) -> np.nda
     steps whose uniform falls below that bound. Floating-point rounding is
     monotonic, so the bound never drops a step the exact rule would take.
     """
-    steps = []
+    steps = array("q")
     k = 1
     num = a * k + b
     lo = 0
@@ -234,7 +232,7 @@ def _eta_innovations(blocks: Iterable[np.ndarray], a: float, b: float) -> np.nda
                 k += 1
                 num = a * k + b
         lo += block.size
-    return np.array(steps, dtype=np.int64)
+    return np.frombuffer(steps, dtype=np.int64) if steps else np.empty(0, dtype=np.int64)
 
 
 def _finish_block(block: np.ndarray, copies: np.ndarray, src: np.ndarray, fresh: np.ndarray, k: int) -> int:
@@ -259,33 +257,93 @@ def _finish_block(block: np.ndarray, copies: np.ndarray, src: np.ndarray, fresh:
     return k + fresh.size
 
 
-def _generate_uniform_copy(
-    params: ModelParams, innovations: Callable[[Iterator[np.ndarray]], np.ndarray]
+def _generate_blocks(
+    params: ModelParams,
+    innovations: Callable[[Iterator[np.ndarray]], np.ndarray],
+    reuse: Callable[[np.ndarray, int], Callable[..., None]],
 ) -> TokenSequence:
-    """Each element after the first is new at the steps `innovations`
-    returns for the blocks of step uniforms, else a copy of a uniformly
-    random earlier position."""
+    """The block loop of the incremental models. Element 0 is type 0; step
+    s emits element s + 1, new at the sorted steps that `innovations`
+    returns for the blocks of the m - 1 step uniforms, else a reuse.
+    `reuse(tokens, n_new)`, called once the innovations are known, returns
+    the writer of one block: write(block, lo, k, fresh, rng) fills in place
+    the ids of positions lo, lo + 1, ..., after k types, with innovations
+    at the sorted offsets `fresh`. It draws its reuse after all the step
+    uniforms and carries what its rule needs from one block to the next."""
+    if params.degenerate:
+        return _constant(params)
     m = params.length
     rng = _seeded_rng(params.seed)
     new = innovations(_uniform_blocks(rng, m - 1))
-    new += 1
+    new += 1  # the positions the innovating steps emit
     tokens = np.empty(m, dtype=id_dtype(m))
     tokens[0] = 0
+    write = reuse(tokens, new.size)
     k = 1  # ids issued before the block
     for lo, hi in _spans(1, m):
-        tgt = rng.integers(0, np.arange(lo, hi))
         # bounds of `new`'s own type: Python ints would cast all of an
         # int32 `new` to int64 on every block
         i, j = np.searchsorted(new, np.array((lo, hi), dtype=new.dtype))
-        fresh = new[i:j] - lo
+        write(tokens[lo:hi], lo, k, new[i:j] - lo, rng)
+        k += j - i
+    return TokenSequence._adopt(tokens)
+
+
+def _uniform_reuse(tokens: np.ndarray, n_new: int) -> Callable[..., None]:
+    """Simon's and conjunct's reuse: position t copies a uniformly random
+    earlier position, rng.integers(0, t). It carries nothing."""
+
+    def write(block: np.ndarray, lo: int, k: int, fresh: np.ndarray, rng: np.random.Generator) -> None:
+        tgt = rng.integers(0, np.arange(lo, lo + block.size))
         tgt[fresh] = 0  # an innovation copies nothing
-        block = tokens[lo:hi]
         # right for every copy of an earlier block; a target inside the
         # block is clipped, and its chain followed below
         np.take(tokens[:lo], tgt, out=block, mode="clip")
         copies = np.flatnonzero(tgt >= lo)
-        k = _finish_block(block, copies, tgt[copies] - lo, fresh, k)
-    return TokenSequence._adopt(tokens)
+        _finish_block(block, copies, tgt[copies] - lo, fresh, k)
+
+    return write
+
+
+def _discounted_reuse(tokens: np.ndarray, n_new: int, a: float) -> Callable[..., None]:
+    """Pitman-Yor's reuse, of type i with weight counts[i] - a: position t
+    draws x = u * (t - a*K) and, as `pitman_yor_next`, copies the first
+    occurrence of type floor(x / (1 - a)) when x < K(1 - a), else the later
+    occurrence number floor(x - K(1 - a)). It carries `later_ids`, the
+    `GeneratorState.later` of the positions before the block; a later
+    occurrence inside the block is a copy to follow there."""
+    # one spare entry keeps the gather of a block valid when every element is new
+    later_ids = np.empty(tokens.size - n_new, dtype=tokens.dtype)
+    n_later = 0
+
+    def write(block: np.ndarray, lo: int, k: int, fresh: np.ndarray, rng: np.random.Generator) -> None:
+        nonlocal n_later
+        is_new = np.zeros(block.size, dtype=bool)
+        is_new[fresh] = True
+        # the vocabulary before each position
+        kb = np.repeat(np.arange(k, k + fresh.size + 1), np.diff(np.concatenate(([0], fresh + 1, [block.size]))))
+        t = np.arange(lo, lo + block.size)
+        x = rng.random(block.size)
+        x *= t - a * kb  # the reuse draw of each position
+        first_w = kb * (1.0 - a)
+        first = (x < first_w) | (t == kb)
+        # a first-occurrence reuse takes its type's id; every other position
+        # reads a later slot, clipped into range, and a root or a slot
+        # inside the block then overwrites what it read
+        at = np.flatnonzero(first)
+        first_ids = np.minimum(x[at] / (1.0 - a), kb[at] - 1).astype(block.dtype)
+        x -= first_w
+        t -= kb + 1
+        slot = np.minimum(x, t, out=x).astype(np.int64)
+        block[:] = later_ids.take(slot, mode="clip")
+        block[at] = first_ids
+        repeats = np.flatnonzero(~is_new)  # offsets of the block's later occurrences
+        inside = np.flatnonzero((slot >= n_later) & ~(first | is_new))
+        _finish_block(block, inside, repeats[slot[inside] - n_later], fresh, k)
+        later_ids[n_later : n_later + repeats.size] = block[repeats]
+        n_later += repeats.size
+
+    return write
 
 
 def generate_simon(params: ModelParams) -> TokenSequence:
@@ -293,93 +351,31 @@ def generate_simon(params: ModelParams) -> TokenSequence:
     probability alpha, else repeat the token at a uniformly random past
     position."""
     _require(params, "simon")
-    alpha = params.alpha
+    alpha, dtype = params.alpha, id_dtype(params.length)
 
     def innovations(blocks: Iterator[np.ndarray]) -> np.ndarray:
-        dtype = id_dtype(params.length)
         steps, lo = [np.empty(0, dtype=dtype)], 0
         for u in blocks:
             steps.append((np.flatnonzero(u < alpha) + lo).astype(dtype))
             lo += u.size
         return np.concatenate(steps)
 
-    return _generate_uniform_copy(params, innovations)
-
-
-def _pitman_yor_block(
-    block: np.ndarray, x: np.ndarray, lo: int, k: int, fresh: np.ndarray, a: float, later_ids: np.ndarray, n_later: int
-) -> int:
-    """Write one block of Pitman-Yor ids in place: steps lo, lo + 1, ...
-    emit the positions lo + 1, lo + 2, ... from the reuse uniforms `x`,
-    which this overwrites. Before the block come k types and n_later later
-    occurrences, whose ids lead `later_ids`; the block's roots are at the
-    offsets `fresh`. Appends the block's later occurrences to `later_ids`
-    and returns their new count."""
-    is_new = np.zeros(block.size, dtype=bool)
-    is_new[fresh] = True
-    # the vocabulary before each step
-    kb = np.repeat(np.arange(k, k + fresh.size + 1), np.diff(np.concatenate(([0], fresh + 1, [block.size]))))
-    t = np.arange(lo + 1, lo + 1 + block.size)
-    x *= t - a * kb  # the reuse draw of each step
-    first_w = kb * (1.0 - a)
-    first = (x < first_w) | (t == kb)
-    # a first-occurrence reuse takes its type's id; every other step reads
-    # a later slot, clipped into range, and a root or a slot inside the
-    # block then overwrites what it read
-    at = np.flatnonzero(first)
-    first_ids = np.minimum(x[at] / (1.0 - a), kb[at] - 1).astype(block.dtype)
-    x -= first_w
-    t -= kb + 1
-    slot = np.minimum(x, t, out=x).astype(np.int64)
-    block[:] = later_ids.take(slot, mode="clip")
-    block[at] = first_ids
-    repeats = np.flatnonzero(~is_new)  # offsets of the block's later occurrences
-    inside = np.flatnonzero((slot >= n_later) & ~(first | is_new))
-    _finish_block(block, inside, repeats[slot[inside] - n_later], fresh, k)
-    later_ids[n_later : n_later + repeats.size] = block[repeats]
-    return n_later + repeats.size
+    return _generate_blocks(params, innovations, _uniform_reuse)
 
 
 def generate_pitman_yor(params: ModelParams) -> TokenSequence:
     """Two-parameter model: innovation probability (a*K + b) / (t + b) and
-    reuse of type i with probability (counts[i] - a) / (t + b). A reuse
-    draw x = u * (t - a*K) copies the first occurrence of type
-    floor(x / (1 - a)) when x < K(1 - a), else the later (not first)
-    occurrence number floor(x - K(1 - a)) in position order, as in
-    `pitman_yor_next`.
-
-    The split runs one block of steps at a time: step s emits position
-    s + 1 and sees the positions up to s. A first occurrence's id is its
-    type's rank, so it needs no lookup. `later_ids` holds the ids of the
-    later occurrences before the block, as `GeneratorState.later` does; a
-    later occurrence inside the block is a copy to follow there."""
+    reuse of type i with probability (counts[i] - a) / (t + b)."""
     _require(params, "pitman_yor")
-    if params.degenerate:
-        return _constant(params)
     a, b = params.a, params.b
-    m = params.length
-    rng = _seeded_rng(params.seed)
-    roots = np.concatenate(([0], _eta_innovations(_uniform_blocks(rng, m - 1), a, b) + 1))
-    # one spare entry keeps the gather of a block valid when every element is new
-    later_ids = np.empty(m - roots.size + 1, dtype=id_dtype(m))
-    tokens = np.empty(m, dtype=later_ids.dtype)
-    tokens[0] = 0
-    n_later = 0  # later occurrences before the block
-    for lo, hi in _spans(0, m - 1):
-        k, k_end = np.searchsorted(roots, (lo, hi), side="right")
-        block, fresh = tokens[lo + 1 : hi + 1], roots[k:k_end] - (lo + 1)
-        n_later = _pitman_yor_block(block, rng.random(hi - lo), lo, k, fresh, a, later_ids, n_later)
-    return TokenSequence._adopt(tokens)
+    return _generate_blocks(params, partial(_eta_innovations, a=a, b=b), partial(_discounted_reuse, a=a))
 
 
 def generate_conjunct(params: ModelParams) -> TokenSequence:
     """Conjunct model: the (a, b) innovation rate eta = (a*K + b) / (t + b)
     combined with uniform reuse from the past sequence."""
     _require(params, "conjunct")
-    if params.degenerate:
-        return _constant(params)
-    a, b = params.a, params.b
-    return _generate_uniform_copy(params, lambda blocks: _eta_innovations(blocks, a, b))
+    return _generate_blocks(params, partial(_eta_innovations, a=params.a, b=params.b), _uniform_reuse)
 
 
 def generate(params: ModelParams) -> TokenSequence:

@@ -263,10 +263,14 @@ class TestBulkMatchesKernels:
         ("conjunct", {"a": 0.68, "b": 0.0}),
         ("pitman_yor", {"a": 0.0, "b": 0.0}),
         ("pitman_yor", {"a": 0.68, "b": 0.0}),
+        ("pitman_yor", {"a": 0.5, "b": 1e12}),
+        ("conjunct", {"a": 0.5, "b": 1e12}),
     ])
     def test_across_draw_blocks(self, model, params):
         # 70000 elements cross the edges of the bulk generators' draw
-        # blocks, which the short lengths above never reach
+        # blocks, which the short lengths above never reach. At b = 1e12
+        # nearly every step innovates: whole blocks copy nothing, and
+        # Pitman-Yor's gathers read its spare later-id entry
         p = ModelParams(model=model, length=70_000, seed=11, **params)
         if model == "pitman_yor":
             replayed = _replay_pitman_yor(p)
@@ -415,6 +419,50 @@ def test_resampled_ids_pinned(make, digest):
         for seed in PINNED_SEEDS:
             h.update(make(length, seed).tokens.astype(np.int64).tobytes())
     assert h.hexdigest() == digest
+
+
+def _mean_vocabulary(a, b, ns):
+    """E[K_n] at each n of `ns` under the (a, b) innovation rule, from
+    E[K_1] = 1 and E[K_{t+1}] = E[K_t] + (a E[K_t] + b) / (t + b), which
+    is exact as the rate is linear in K."""
+    ek, out = 1.0, []
+    for t in range(1, max(ns)):
+        ek += (a * ek + b) / (t + b)
+        if t + 1 in ns:
+            out.append(ek)
+    return np.array(out)
+
+
+class TestInnovationLaw:
+    """Over many seeds the mean vocabulary after n tokens follows the exact
+    law of the innovation rule, at every n: a wrong rate misses it early
+    and late, where a fitted Heaps exponent need not move."""
+
+    SEEDS = 400
+    NS = (10**2, 10**3, 10**4)
+    Z = 4.0  # |mean - law| / standard error, over 400 seeds at each n
+
+    @pytest.mark.parametrize("model,params", [
+        ("simon", {"alpha": 0.1}),
+        ("conjunct", {"a": 0.68, "b": 0.0}),
+        ("pitman_yor", {"a": 0.3, "b": 10.0}),
+    ])
+    def test_mean_vocabulary(self, model, params):
+        # ids are in first-occurrence order, so K_n is the largest id of
+        # the first n tokens plus 1
+        k = np.array([
+            [int(tokens[:n].max()) + 1 for n in self.NS]
+            for tokens in (
+                generate(ModelParams(model=model, length=max(self.NS), seed=seed, **params)).tokens
+                for seed in range(self.SEEDS)
+            )
+        ])
+        if model == "simon":
+            law = 1 + params["alpha"] * (np.array(self.NS) - 1)
+        else:
+            law = _mean_vocabulary(params["a"], params["b"], self.NS)
+        z = (k.mean(axis=0) - law) / (k.std(axis=0, ddof=1) / np.sqrt(self.SEEDS))
+        assert np.all(np.abs(z) < self.Z), z
 
 
 class TestBlockDraws:
