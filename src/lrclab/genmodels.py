@@ -8,10 +8,11 @@ conjunct) or by the discounted copy of Pitman-Yor, type i with weight
 counts[i] - a. One block loop runs all three, with the two rules as its
 arguments; it writes the ids one block of positions at a time, as soon as
 the block's draws are in. Besides the ids, a generator holds only the
-positions of its innovations and, for Pitman-Yor, the ids of its later
-occurrences. Three reference generators round out the set: an i.i.d.
-sampler with an exact power-law rank distribution, a first-order Markov
-resampler of a corpus, and a word-level shuffler.
+positions of its innovations; Pitman-Yor keeps the ids of its later
+occurrences in the front of the ids' own buffer. Three reference
+generators round out the set: an i.i.d. sampler with an exact power-law
+rank distribution, a first-order Markov resampler of a corpus, and a
+word-level shuffler.
 
 All randomness comes from numpy's PCG64 generator seeded explicitly, so a
 (parameters, seed) pair reproduces the same sequence on any platform.
@@ -41,7 +42,7 @@ class GeneratorState:
     a reuse picks a uniform type or a uniform entry of `later` (see
     `pitman_yor_next`). The shared starting point is one type with one
     occurrence (t = 1). `_discounted_reuse`, Pitman-Yor's reuse rule in
-    the bulk block loop, builds the same list as its `later_ids` array.
+    the bulk block loop, builds the same list in the front of the ids.
     """
 
     t: int
@@ -184,8 +185,8 @@ def conjunct_next(past: Sequence[int], a: float, b: float, rng: np.random.Genera
 
 # ---------------------------------------------------------------------------
 # Bulk generators: one block loop, `_generate_blocks`, over an innovation
-# rule and a reuse rule. Only the (a, b) innovation decisions, which depend
-# on the vocabulary so far, run as a scalar loop.
+# rule and a reuse rule. The (a, b) innovation decisions, which depend on
+# the vocabulary so far, are found a block at a time by a fixed point.
 # ---------------------------------------------------------------------------
 
 
@@ -215,22 +216,35 @@ def _eta_innovations(blocks: Iterable[np.ndarray], a: float, b: float) -> np.nda
     uniforms u.
 
     K grows by at most one per step, so within a block of steps no rate
-    exceeds the one at K + block size; the scalar loop visits only the
-    steps whose uniform falls below that bound. Floating-point rounding is
-    monotonic, so the bound never drops a step the exact rule would take.
+    exceeds the one at K + block size; only the steps whose uniform falls
+    below that bound are candidates. Floating-point rounding is monotonic,
+    so the bound never drops a step the exact rule would take. The
+    candidates' decisions are the one fixed point of: each is the rule at
+    K plus the new candidates before it in the block. Iterated from none
+    before, round r has at least the first r right, so the rounds end at
+    the sequential decisions, made with the scalar rule's float
+    expressions.
     """
     steps = array("q")
     k = 1
-    num = a * k + b
     lo = 0
     for block in blocks:
         tb = np.arange(lo + 1, lo + 1 + block.size) + b
         cand = np.flatnonzero(block < (a * (k + block.size) + b) / tb)
-        for t, x in zip((cand + lo + 1).tolist(), block[cand].tolist()):
-            if x < num / (t + b):
-                steps.append(t - 1)
-                k += 1
-                num = a * k + b
+        if cand.size:
+            x, tc = block[cand], tb[cand]
+            before = np.zeros(cand.size, dtype=np.int64)
+            while True:
+                new = x < (a * (k + before) + b) / tc
+                nxt = np.cumsum(new)
+                nxt -= new
+                if np.array_equal(nxt, before):
+                    break
+                before = nxt
+            taken = cand[new]
+            taken += lo
+            steps.frombytes(taken.tobytes())  # int64, as flatnonzero gives
+            k += taken.size
         lo += block.size
     return np.frombuffer(steps, dtype=np.int64) if steps else np.empty(0, dtype=np.int64)
 
@@ -260,16 +274,18 @@ def _finish_block(block: np.ndarray, copies: np.ndarray, src: np.ndarray, fresh:
 def _generate_blocks(
     params: ModelParams,
     innovations: Callable[[Iterator[np.ndarray]], np.ndarray],
-    reuse: Callable[[np.ndarray, int], Callable[..., None]],
+    reuse: Callable[[np.ndarray, np.ndarray], Callable[..., None]],
 ) -> TokenSequence:
     """The block loop of the incremental models. Element 0 is type 0; step
     s emits element s + 1, new at the sorted steps that `innovations`
     returns for the blocks of the m - 1 step uniforms, else a reuse.
-    `reuse(tokens, n_new)`, called once the innovations are known, returns
-    the writer of one block: write(block, lo, k, fresh, rng) fills in place
-    the ids of positions lo, lo + 1, ..., after k types, with innovations
-    at the sorted offsets `fresh`. It draws its reuse after all the step
-    uniforms and carries what its rule needs from one block to the next."""
+    `reuse(tokens, new)`, called once the sorted innovation positions `new`
+    are known, returns the writer of one block: write(block, lo, k, fresh,
+    rng) writes the ids of positions lo, lo + 1, ..., after k types, with
+    innovations at the sorted offsets `fresh`, into `block`, the view
+    tokens[lo:hi]; they stand there once the last block is written. It
+    draws its reuse after all the step uniforms and carries what its rule
+    needs from one block to the next."""
     if params.degenerate:
         return _constant(params)
     m = params.length
@@ -278,7 +294,7 @@ def _generate_blocks(
     new += 1  # the positions the innovating steps emit
     tokens = np.empty(m, dtype=id_dtype(m))
     tokens[0] = 0
-    write = reuse(tokens, new.size)
+    write = reuse(tokens, new)
     k = 1  # ids issued before the block
     for lo, hi in _spans(1, m):
         # bounds of `new`'s own type: Python ints would cast all of an
@@ -289,7 +305,7 @@ def _generate_blocks(
     return TokenSequence._adopt(tokens)
 
 
-def _uniform_reuse(tokens: np.ndarray, n_new: int) -> Callable[..., None]:
+def _uniform_reuse(tokens: np.ndarray, new: np.ndarray) -> Callable[..., None]:
     """Simon's and conjunct's reuse: position t copies a uniformly random
     earlier position, rng.integers(0, t). It carries nothing."""
 
@@ -305,15 +321,21 @@ def _uniform_reuse(tokens: np.ndarray, n_new: int) -> Callable[..., None]:
     return write
 
 
-def _discounted_reuse(tokens: np.ndarray, n_new: int, a: float) -> Callable[..., None]:
+def _discounted_reuse(tokens: np.ndarray, new: np.ndarray, a: float) -> Callable[..., None]:
     """Pitman-Yor's reuse, of type i with weight counts[i] - a: position t
     draws x = u * (t - a*K) and, as `pitman_yor_next`, copies the first
     occurrence of type floor(x / (1 - a)) when x < K(1 - a), else the later
-    occurrence number floor(x - K(1 - a)). It carries `later_ids`, the
-    `GeneratorState.later` of the positions before the block; a later
-    occurrence inside the block is a copy to follow there."""
-    # one spare entry keeps the gather of a block valid when every element is new
-    later_ids = np.empty(tokens.size - n_new, dtype=tokens.dtype)
+    occurrence number floor(x - K(1 - a)); a later occurrence inside the
+    block is a copy to follow there.
+
+    It carries `n_later`. The ids of the later occurrences before the block,
+    `GeneratorState.later`, are tokens[:n_later], in the front of the ids'
+    own buffer: a block is built in its place and its later occurrences are
+    appended there, which never reaches past the block's end, as n_later
+    never exceeds the block's end less one less the innovations before it.
+    The last block then expands the ids in place (`_expand_later`), so the
+    ids are the only whole-length array. `new` holds the sorted innovation
+    positions."""
     n_later = 0
 
     def write(block: np.ndarray, lo: int, k: int, fresh: np.ndarray, rng: np.random.Generator) -> None:
@@ -335,15 +357,35 @@ def _discounted_reuse(tokens: np.ndarray, n_new: int, a: float) -> Callable[...,
         x -= first_w
         t -= kb + 1
         slot = np.minimum(x, t, out=x).astype(np.int64)
-        block[:] = later_ids.take(slot, mode="clip")
+        np.take(tokens[:lo], slot, out=block, mode="clip")
         block[at] = first_ids
         repeats = np.flatnonzero(~is_new)  # offsets of the block's later occurrences
         inside = np.flatnonzero((slot >= n_later) & ~(first | is_new))
         _finish_block(block, inside, repeats[slot[inside] - n_later], fresh, k)
-        later_ids[n_later : n_later + repeats.size] = block[repeats]
+        tokens[n_later : n_later + repeats.size] = block[repeats]
         n_later += repeats.size
+        if lo + block.size == tokens.size:
+            _expand_later(tokens, new)
 
     return write
+
+
+def _expand_later(tokens: np.ndarray, new: np.ndarray) -> None:
+    """Turn ids whose front holds the id of every later occurrence, in
+    order, into the whole sequence, in place: element 0 is type 0 and the
+    innovation at new[i] is type i + 1. The blocks go from the back: block
+    [lo, hi) with innovations new[i:j] takes its later ids from
+    tokens[lo - 1 - i : hi - 1 - j], which no block after it wrote, as that
+    range ends at or before hi."""
+    for lo, hi in reversed(list(_spans(1, tokens.size))):
+        i, j = np.searchsorted(new, np.array((lo, hi), dtype=new.dtype))
+        later = tokens[lo - 1 - i : hi - 1 - j].copy()  # the block may overlap it
+        block, fresh = tokens[lo:hi], new[i:j] - lo
+        repeat = np.ones(block.size, dtype=bool)
+        repeat[fresh] = False
+        block[repeat] = later
+        block[fresh] = np.arange(1 + i, 1 + j, dtype=block.dtype)
+    tokens[0] = 0
 
 
 def generate_simon(params: ModelParams) -> TokenSequence:

@@ -26,6 +26,7 @@ from .seqcore import (
     RankFrequency,
     TokenSequence,
     TypeTokenCurve,
+    _BLOCK,
     _centred,
     _spans,
     log_grid,
@@ -139,12 +140,14 @@ def extract_intervals(seq: TokenSequence, rare: np.ndarray | Iterable[int]) -> I
     or any iterable of ints), merged over the whole set. The interval count
     is the occurrence count minus one.
 
-    The rare positions are the one whole-length int64 array: they are turned
-    into gaps in place, a block at a time from the front, each block reading
-    the still-unchanged first position of the next, and handed to the
-    IntervalSequence without a copy. When every type is rare, every
-    gap is 1, and the gaps are a read-only broadcast of 1 that takes no
-    memory."""
+    The rare positions are the one whole-length int64 array, sized by the
+    rare types' counts, which also tell whether there are two: each block
+    of ids is marked in one block-sized bool buffer and its rare positions
+    written straight into the array. They are turned into gaps in place, a
+    block at a time from the front, each block reading the still-unchanged
+    first position of the next, and handed to the IntervalSequence without
+    a copy. When every type is rare, every gap is 1, and the gaps are a
+    read-only broadcast of 1 that takes no memory."""
     rare_ids = np.asarray(rare, np.int64) if isinstance(rare, np.ndarray) else np.fromiter(rare, np.int64)
     if rare_ids.size == 0:
         raise DataError("insufficient occurrences")
@@ -156,14 +159,20 @@ def extract_intervals(seq: TokenSequence, rare: np.ndarray | Iterable[int]) -> I
         if seq.m < 2:
             raise DataError("insufficient occurrences")
         return IntervalSequence._adopt(np.broadcast_to(np.int64(1), seq.m - 1))
+    n_rare = int(np.sum(seq.counts, where=mask))
+    if n_rare < 2:
+        raise DataError("insufficient occurrences")
+    gaps = np.empty(n_rare, dtype=np.int64)
     # np.take casts a block of int32 ids to indices at a time; mask[tokens]
     # would cast them one small buffer at a time, at twice the cost
-    is_rare = np.empty(seq.m, dtype=bool)
+    is_rare = np.empty(min(seq.m, _BLOCK), dtype=bool)
+    n = 0
     for lo, hi in _spans(0, seq.m):
-        mask.take(seq.tokens[lo:hi], out=is_rare[lo:hi])
-    gaps = np.flatnonzero(is_rare)
-    if gaps.size < 2:
-        raise DataError("insufficient occurrences")
+        mask.take(seq.tokens[lo:hi], out=is_rare[: hi - lo])
+        at = np.flatnonzero(is_rare[: hi - lo])
+        at += lo
+        gaps[n : n + at.size] = at
+        n += at.size
     for lo, hi in _spans(0, gaps.size - 1):
         np.subtract(gaps[lo + 1 : hi + 1], gaps[lo:hi], out=gaps[lo:hi])
     return IntervalSequence._adopt(gaps[:-1])
@@ -213,8 +222,10 @@ def fit_power_law(
 
 def rank_frequency(seq: TokenSequence) -> RankFrequency:
     """Exhaustive type frequencies in descending order. Only the frequencies
-    are kept, so the order among tied types cannot show."""
-    freqs = seq.counts.astype(np.int64)
+    are kept, so the order among tied types cannot show. A copy of `counts`
+    is sorted in place at the table's own width, which is that of the
+    counts below 2**31 tokens."""
+    freqs = seq.counts.astype(RankFrequency._dtype(seq.counts))
     freqs.sort()
     return RankFrequency._adopt(freqs[::-1])
 

@@ -69,8 +69,9 @@ def id_dtype(m: int) -> type:
     position fits, as every id of a TokenSequence, dense in
     first-occurrence order, is below the length, and int64 from m = 2**31
     on. `TokenSequence.counts` takes it too, as no count exceeds the
-    length; interval, rank-frequency and rare-id arrays stay int64. Every
-    consumer reads ids of either width, and no output byte depends on it."""
+    length, and so does a `RankFrequency`, by its largest frequency;
+    interval and rare-id arrays stay int64. Every consumer reads ids and
+    frequencies of either width, and no output byte depends on it."""
     return np.int32 if m < 2**31 else np.int64
 
 
@@ -101,8 +102,8 @@ class _Frozen:
         return len(getattr(self, fields(self)[0].name))
 
     @staticmethod
-    def _dtype(n: int) -> type:
-        """Integer type of the first field when it holds n elements."""
+    def _dtype(arr: np.ndarray) -> type:
+        """Integer type of the first field when it holds the values of `arr`."""
         return np.int64
 
     def __post_init__(self) -> None:
@@ -116,7 +117,7 @@ class _Frozen:
         name: the array is frozen in place, not copied, so the caller must
         not keep a writable reference to it. `_own` runs the constructor's
         checks on it."""
-        assert arr.dtype == cls._dtype(arr.size), "only an array of the field's type can be adopted"
+        assert arr.dtype == cls._dtype(arr), "only an array of the field's type can be adopted"
         obj = object.__new__(cls)
         for name, value in rest.items():
             object.__setattr__(obj, name, value)
@@ -141,7 +142,9 @@ class TokenSequence(_Frozen):
     tokens: np.ndarray
     symbols: tuple[str, ...] | None = None
 
-    _dtype = staticmethod(id_dtype)
+    @staticmethod
+    def _dtype(arr: np.ndarray) -> type:
+        return id_dtype(arr.size)
 
     def _own(self, arr: np.ndarray) -> None:
         if arr.ndim != 1 or arr.size == 0:
@@ -160,7 +163,7 @@ class TokenSequence(_Frozen):
                 raise DataError("ids must be dense and in first-occurrence order")
             high = int(run[-1])
         # narrows the constructor's int64 copy: every id is below the length
-        arr = arr.astype(self._dtype(arr.size), copy=False)
+        arr = arr.astype(self._dtype(arr), copy=False)
         if self.symbols is not None:
             table = tuple(self.symbols)
             if high >= len(table):
@@ -290,11 +293,18 @@ class PowerLawFit:
 
 @dataclass(frozen=True, eq=False)
 class RankFrequency(_Frozen):
-    """Type frequencies in descending order (int64); frequencies[i] has rank
-    i + 1. The constructor copies the caller's array; `rank_frequency` hands
-    its own sorted array over through `_adopt`, uncopied."""
+    """Type frequencies in descending order; frequencies[i] has rank i + 1.
+    They are stored as `id_dtype` of the largest: int32 while it is below
+    2**31, as in every table of fewer than 2**31 tokens, else int64.
+    The constructor checks an int64 copy of the caller's array and narrows
+    it after the check; `rank_frequency` hands its own sorted array over
+    through `_adopt`, uncopied."""
 
     frequencies: np.ndarray
+
+    @staticmethod
+    def _dtype(arr: np.ndarray) -> type:
+        return id_dtype(int(arr.max(initial=0)))
 
     def _own(self, arr: np.ndarray) -> None:
         if arr.ndim != 1 or arr.size == 0:
@@ -303,6 +313,7 @@ class RankFrequency(_Frozen):
             raise DataError("frequencies must be positive")
         if np.any(arr[1:] > arr[:-1]):
             raise DataError("frequencies must be non-increasing")
+        arr = arr.astype(self._dtype(arr), copy=False)
         object.__setattr__(self, "frequencies", _freeze(arr))
 
 

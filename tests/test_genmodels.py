@@ -193,6 +193,16 @@ DIFF_SEEDS = range(5)
 AB_CELLS = [(0.0, 0.0), (0.0, 0.8), (0.68, 0.0), (0.68, 0.8)]
 
 
+def _innovation_steps(u, a, b):
+    """The (a, b) rule one step at a time: the oracle of the block-wise screen."""
+    k, steps = 1, []
+    for s, x in enumerate(u.tolist()):
+        if x < (a * k + b) / (s + 1 + b):
+            steps.append(s)
+            k += 1
+    return steps
+
+
 def _replay_uniform_copy(kernel, params):
     """Tokens from feeding a kernel the draws of a Simon or conjunct run:
     one step uniform each, then one past position each."""
@@ -270,7 +280,7 @@ class TestBulkMatchesKernels:
         # 70000 elements cross the edges of the bulk generators' draw
         # blocks, which the short lengths above never reach. At b = 1e12
         # nearly every step innovates: whole blocks copy nothing, and
-        # Pitman-Yor's gathers read its spare later-id entry
+        # Pitman-Yor's gathers find few or no later ids before the block
         p = ModelParams(model=model, length=70_000, seed=11, **params)
         if model == "pitman_yor":
             replayed = _replay_pitman_yor(p)
@@ -284,12 +294,18 @@ class TestBulkMatchesKernels:
         u = np.random.default_rng(14).random(3 * 10**4)
         blocks = np.split(u, [7, 7 + 19993])
         for a, b in AB_CELLS + [(0.99, 5.0), (0.3, 100.0)]:
-            k, steps = 1, []
-            for s, x in enumerate(u.tolist()):
-                if x < (a * k + b) / (s + 1 + b):
-                    steps.append(s)
-                    k += 1
-            assert _eta_innovations(blocks, a, b).tolist() == steps
+            assert _eta_innovations(blocks, a, b).tolist() == _innovation_steps(u, a, b)
+
+    @pytest.mark.parametrize("a,b", [(0.68, 0.8), (0.9, 0.0), (0.99, 0.0), (0.3, 1e4), (0.5, 1e12), (0.0, 0.8)])
+    def test_innovation_fixed_point_matches_scalar_rule(self, a, b):
+        # the generators' blocks of 2**14 step uniforms, at lengths that end
+        # inside the first block, one short of its edge, just past it and
+        # after several
+        for seed in (0, 1, 2):
+            for m in (2, 2**14, 2**14 + 2, 10**5):
+                u = np.random.default_rng(seed).random(m - 1)
+                blocks = np.split(u, range(2**14, u.size, 2**14))
+                assert _eta_innovations(blocks, a, b).tolist() == _innovation_steps(u, a, b)
 
     def test_deep_chains_in_first_block(self):
         # at alpha 0.01 nearly every element of the first block copies
@@ -355,7 +371,7 @@ class TestBulkMatchesKernels:
         want = generate_zipf_iid(300, 0.5, 50, 3).tokens
         rule = lambda m: np.int8 if m < 100 else np.int64  # noqa: E731
         monkeypatch.setattr(genmodels, "id_dtype", rule)
-        monkeypatch.setattr(TokenSequence, "_dtype", staticmethod(rule))
+        monkeypatch.setattr(TokenSequence, "_dtype", staticmethod(lambda ids: rule(ids.size)))
         got = generate_zipf_iid(300, 0.5, 50, 3).tokens
         assert got.dtype == np.int8 and np.array_equal(got, want)
 

@@ -88,8 +88,8 @@ def type_token_oracle(seq):
 
 def assert_matches_oracle(seq):
     """Every per-type statistic equals its sorting oracle; counts holds the
-    k types' counts at the ids' width, and the rare ids and frequency ranks
-    are int64."""
+    k types' counts and the frequency ranks their frequencies at the ids'
+    width, and the rare ids are int64."""
     assert seq.counts.dtype == id_dtype(seq.m)
     assert np.array_equal(seq.counts, counts_oracle(seq))
     assert seq.counts.size == seq.k
@@ -99,7 +99,7 @@ def assert_matches_oracle(seq):
             assert isinstance(rare, np.ndarray) and rare.dtype == np.int64
             assert rare.tolist() == sorted(select_rare_set_oracle(seq, n))
     rank = rank_frequency(seq).frequencies
-    assert rank.dtype == np.int64
+    assert rank.dtype == id_dtype(seq.m)
     assert np.array_equal(rank, rank_frequency_oracle(seq))
     sizes, vocab = type_token_oracle(seq)
     curve = type_token_curve(seq)
@@ -306,6 +306,26 @@ class TestExtractIntervalsInPlace:
         rng = np.random.default_rng(length)
         tokens = dense(rng.integers(0, 6, size=length))
         for rare in ([0], [1, 4], [0, 1, 2, 3, 4]):
+            got = extract_intervals(TokenSequence(tokens), rare).intervals
+            assert np.array_equal(got, gaps_oracle(tokens, rare))
+
+    @pytest.mark.parametrize("length", [2**14 - 1, 2**14 + 1, 3 * 2**14 + 5])
+    def test_forced_rare_sets_across_block_edges(self, length):
+        # the rare positions are written a block of ids at a time: a rare
+        # type sits on either side of each block edge, and the forced sets
+        # repeat an id and name one of no type
+        rng = np.random.default_rng(length)
+        labels = rng.integers(0, 40, size=length)
+        labels[rng.choice(length, size=9, replace=False)] = 42
+        edges = np.arange(2**14, length, 2**14)
+        labels[edges - 1], labels[edges] = 40, 41
+        labels[[1, 2]] = 40, 41  # a length of one block has no edge
+        labels[[0, length - 1]] = 43
+        tokens = dense(labels)
+        ids = {label: int(tokens[np.flatnonzero(labels == label)[0]]) for label in (40, 41, 42, 43)}
+        k = int(tokens.max()) + 1
+        for rare in ([ids[40], ids[41], ids[40]], [ids[42], ids[42], k], [ids[43], k + 5, ids[41]],
+                     np.array([ids[40], ids[42], ids[43], 0, 0, k])):
             got = extract_intervals(TokenSequence(tokens), rare).intervals
             assert np.array_equal(got, gaps_oracle(tokens, rare))
 

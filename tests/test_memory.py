@@ -4,11 +4,11 @@ The corpus path keeps token ids in flat buffers and holds one block of
 text at a time; its ids come from 8-byte keys and one hash table, with no
 Python string but one per type. The generators draw their random numbers
 a block at a time, write each block of ids as soon as its draws are in,
-keep no whole-length array but the ids, the innovation positions and
-Pitman-Yor's later-occurrence ids, and hand their ids to TokenSequence
-without a copy. Every id array is int32 below 2**31 tokens. Measured at
-2e5 tokens (CPython 3.11, numpy 2.4), in bytes a token, with the bound
-each test asserts:
+keep no whole-length array but the ids and the innovation positions
+(Pitman-Yor keeps its later-occurrence ids in the front of the ids'
+buffer), and hand their ids to TokenSequence without a copy. Every id
+array is int32 below 2**31 tokens. Measured at 2e5 tokens (CPython 3.11,
+numpy 2.4), in bytes a token, with the bound each test asserts:
 
     read_tokens 26.0, bound 45: at this length each block's temporaries
         set the peak (13.5 at 2e6 tokens of 2e5 types)
@@ -18,8 +18,9 @@ each test asserts:
         (0.68, 0.8) 8.3 and conjunct (0.9, 0), seed 1, 9.8, bound 10.5,
         Simon's innovation positions held as int32 and the (a, b) ones
         collected as 8-byte machine ints (15.2 for (0.9, 0) when they
-        were Python ints); Pitman-Yor (0.68, 0.8) and (0, 0.8)
-        15.7, bound 17, set by its block temporaries (9.7 at 1e6);
+        were Python ints); Pitman-Yor (0.68, 0.8) and (0, 0.8) 11.8,
+        bound 12.5, the ids and its block temporaries (5.6 at 1e6; 15.7
+        when its later-occurrence ids were a second whole-length array);
         Pitman-Yor and conjunct (0, 0) 4.4, bound 4.5, the ids and the
         block of running maxima that checks their order, as they draw no
         random numbers
@@ -27,9 +28,10 @@ each test asserts:
     counts: Simon alpha 0.1 0.76 and Pitman-Yor (0.68, 0.8) 0.41, bound
         1.0, with the scatter run block by block; Simon alpha 0.4 1.95,
         bound 2.3, as its 0.4 M types fill the one int32 count array
-    rank_frequency, after counts: Simon alpha 0.4 3.6, bound 5, with the
-        int64 copy of the frequencies sorted in place, handed over
-        uncopied and checked for order without a difference array
+    rank_frequency, after counts: Simon alpha 0.4 2.0, bound 2.3, with
+        a copy of the frequencies at the ids' width sorted in place,
+        handed over uncopied and checked for order without a difference
+        array (3.6 for an int64 copy)
     type_token_curve: 0.03 at most, bound 0.1: V(m) is the largest id of
         the prefix plus 1, read off the ids with no per-type array
     select_rare_set, after counts: Simon alpha 0.1 0.81, Pitman-Yor
@@ -40,6 +42,13 @@ each test asserts:
         order, marked a block of types at a time, so no index array of the
         whole level is made (2.0 for the hapaxes of Simon alpha 0.4, when
         it was)
+    extract_intervals, after counts, of the rare set select_rare_set
+        picks: Simon alpha 0.1 1.49, Pitman-Yor and conjunct (0.68, 0.8)
+        1.40, bound 1.65: the rare positions, counted from `counts`, are
+        written straight into their int64 array a block of ids at a time,
+        so the array, turned into the gaps in place, and one block's
+        temporaries are the peak (1.75-1.84 with an m-byte mask of the
+        rare tokens)
     TokenSequence of the ids [0, 10**7], refused: 1.9 kilobytes in all,
         bound 8 kilobytes: the id order is checked before any per-type
         array, sized by the largest id, is made
@@ -74,17 +83,19 @@ from lrclab.seqcore import DataError, TokenSequence
 
 TOKENS = 200_000
 # Bytes a token. Each bound is the figure above plus the margin noted.
-GENERATOR_BOUND = 17  # Pitman-Yor, shuffle and zipf: 15.8 at most, margin 1.2
+GENERATOR_BOUND = 17  # shuffle and zipf: 15.2 at most, margin 1.8
+PITMAN_YOR_BOUND = 12.5  # Pitman-Yor: 11.8 at most, margin 0.7
 UNIFORM_COPY_BOUND = 10.5  # Simon and conjunct: 9.8 at most, margin 0.7
 CONSTANT_BOUND = 4.5  # the (a, b) models at (0, 0), the int32 ids alone: 4.0, margin 0.5
 BIGRAM_BOUND = 18  # generate_bigram: 16.9, margin 1.1
 TYPE_STATS_BOUND = 1.0  # counts, where the types are a small share: 0.76 at most, margin 0.24
 SELECT_RARE_SET_BOUND = 1.7  # bytes a token: 1.41 at most, margin 0.29
 MANY_TYPES_BOUND = 2.3  # bytes a token, counts of Simon alpha 0.4: 1.95, margin 0.35
-RANK_FREQUENCY_BOUND = 5  # bytes a token, rank_frequency of Simon alpha 0.4
+RANK_FREQUENCY_BOUND = 2.3  # bytes a token, rank_frequency of Simon alpha 0.4: 2.0, margin 0.3
 TYPE_TOKEN_BOUND = 0.1  # bytes a token, type_token_curve: 0.03 at most, margin 0.07
 REFUSED_IDS_BOUND = 8192  # bytes in all, TokenSequence of [0, 10**7]: 1944, margin 6248
 INTERVALS_BOUND = 0.1  # bytes a token, where every token is rare: 0.03, margin 0.07
+RARE_INTERVALS_BOUND = 1.65  # bytes a token, a selected rare set: 1.49 at most, margin 0.16
 PARSE_CHAT_BOUND = 2.0  # bytes a transcript character: 1.75, margin 0.25
 # Bytes a file byte, where the text readers would first hold the whole text
 READ_TOKEN_FILE_BOUND = 4.0  # 3.77, margin 0.23
@@ -178,7 +189,7 @@ def test_generate(simon, model, params):
     p = ModelParams(model=model, length=TOKENS, **{"seed": 4, **params})
     per_token, seq = peak_bytes_per_token(lambda: generate(p))
     assert seq.m == TOKENS
-    assert per_token <= (GENERATOR_BOUND if model == "pitman_yor" else UNIFORM_COPY_BOUND)
+    assert per_token <= (PITMAN_YOR_BOUND if model == "pitman_yor" else UNIFORM_COPY_BOUND)
 
 
 @pytest.mark.parametrize("model", ["pitman_yor", "conjunct"])
@@ -243,6 +254,21 @@ def test_select_rare_set(model, params):
     per_token, rare = peak_bytes_per_token(lambda: select_rare_set(seq))
     assert per_token <= SELECT_RARE_SET_BOUND
     assert int(seq.counts[rare].sum()) >= TOKENS // 16
+
+
+@pytest.mark.parametrize("model,params", [
+    ("simon", {"alpha": 0.1}),
+    ("pitman_yor", {"a": 0.68, "b": 0.8}),
+    ("conjunct", {"a": 0.68, "b": 0.8}),
+])
+def test_extract_intervals(model, params):
+    # the rarest sixteenth of the tokens: no mask of the whole length
+    seq = generate(ModelParams(model=model, length=TOKENS, seed=4, **params))
+    seq.counts  # cached, as analyze has it before the interval stages
+    rare = select_rare_set(seq)
+    per_token, ints = peak_bytes_per_token(lambda: extract_intervals(seq, rare))
+    assert ints.m_n + 1 == int(seq.counts[rare].sum())
+    assert per_token <= RARE_INTERVALS_BOUND
 
 
 @pytest.mark.parametrize("model", ["pitman_yor", "conjunct"])

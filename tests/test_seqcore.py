@@ -507,13 +507,14 @@ class TestTypeValidation:
         (RankFrequency, [3, 1, 2], "frequencies must be non-increasing"),
     ])
     def test_adopt_runs_the_constructor_checks(self, cls, arr, message):
-        for make in (cls, cls._adopt):
+        arr = np.array(arr, dtype=np.int64)
+        for make, given in ((cls, arr), (cls._adopt, arr.astype(cls._dtype(arr)))):
             with pytest.raises(DataError, match=message):
-                make(np.array(arr, dtype=np.int64))
+                make(given)
 
     @pytest.mark.parametrize("cls", [IntervalSequence, RankFrequency])
     def test_adopt_freezes_without_copy(self, cls):
-        arr = np.array([3, 2, 2], dtype=np.int64)
+        arr = np.array([3, 2, 2], dtype=np.int32 if cls is RankFrequency else np.int64)
         (held,) = vars(cls._adopt(arr)).values()
         assert np.shares_memory(arr, held) and not held.flags.writeable
 
@@ -670,8 +671,20 @@ class TestIdDtype:
         with pytest.raises(DataError, match="ids must be dense and in first-occurrence order"):
             TokenSequence(np.array([0, 2**31]))
 
+    @pytest.mark.parametrize("freqs,dtype", [([2**31 - 1, 3, 1], np.int32), ([2**31, 3, 1], np.int64),
+                                             ([2**40, 2**31, 2**31 - 1], np.int64)])
+    def test_rank_frequency_at_the_width_of_its_largest(self, tmp_path, freqs, dtype):
+        # a frequency of 2**31 or more keeps the table int64, and the rows
+        # written are the same at either width
+        rank = RankFrequency(np.array(freqs, dtype=np.int64))
+        assert rank.frequencies.dtype == dtype and rank.frequencies.tolist() == freqs
+        assert RankFrequency._adopt(rank.frequencies.copy()) == rank
+        path = tmp_path / "rankfreq.csv"
+        write_rank_frequency_csv(rank, path)
+        assert path.read_text() == "rank,freq\n" + "".join(f"{u},{f}\n" for u, f in enumerate(freqs, start=1))
+
     @pytest.mark.parametrize("cls,dtype", [(TokenSequence, np.int64), (TokenSequence, np.uint32),
-                                           (IntervalSequence, np.int32), (RankFrequency, np.int32)])
+                                           (IntervalSequence, np.int32), (RankFrequency, np.int64)])
     def test_adopt_takes_only_the_fields_dtype(self, cls, dtype):
         with pytest.raises(AssertionError):
             cls._adopt(np.array([2, 1], dtype=dtype))
