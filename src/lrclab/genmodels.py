@@ -6,9 +6,10 @@ richer") or at the (a, b) rate (Pitman-Yor, conjunct), or else it reuses
 an earlier one, by a uniform copy of an earlier position (Simon,
 conjunct) or by the discounted copy of Pitman-Yor, type i with weight
 counts[i] - a. One block loop runs all three, with the two rules as its
-arguments; it writes the ids one block of positions at a time, as soon as
-the block's draws are in. Besides the ids, a generator holds only the
-positions of its innovations; Pitman-Yor keeps the ids of its later
+arguments. The innovation rule decides one block of steps at a time, and
+the loop then writes the ids one block of positions at a time, as soon as
+the block's draws are in. Besides the ids, a generator holds only each
+block's innovation offsets; Pitman-Yor keeps the ids of its later
 occurrences in the front of the ids' own buffer. Three reference
 generators round out the set: an i.i.d. sampler with an exact power-law
 rank distribution, a first-order Markov resampler of a corpus, and a
@@ -21,10 +22,9 @@ Every sequence starts from the same state: one type with one occurrence.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -55,8 +55,8 @@ class GeneratorState:
         return len(self.counts)
 
     @classmethod
-    def initial(cls, discount: float | None = None) -> "GeneratorState":
-        return cls.from_counts([1], discount=discount)
+    def initial(cls) -> "GeneratorState":
+        return cls.from_counts([1])
 
     @classmethod
     def from_counts(
@@ -185,8 +185,9 @@ def conjunct_next(past: Sequence[int], a: float, b: float, rng: np.random.Genera
 
 # ---------------------------------------------------------------------------
 # Bulk generators: one block loop, `_generate_blocks`, over an innovation
-# rule and a reuse rule. The (a, b) innovation decisions, which depend on
-# the vocabulary so far, are found a block at a time by a fixed point.
+# rule and a reuse rule. An innovation rule decides one block of steps; the
+# (a, b) decisions, which depend on the vocabulary so far, are its fixed
+# point.
 # ---------------------------------------------------------------------------
 
 
@@ -203,50 +204,32 @@ def _constant(params: ModelParams) -> TokenSequence:
     return TokenSequence._adopt(np.zeros(params.length, dtype=id_dtype(params.length)))
 
 
-def _uniform_blocks(rng: np.random.Generator, n: int) -> Iterator[np.ndarray]:
-    """n uniforms in consecutive blocks: the same stream as rng.random(n)."""
-    for lo, hi in _spans(0, n):
-        yield rng.random(hi - lo)
+def _eta_innovations(u: np.ndarray, lo: int, k: int, a: float, b: float) -> np.ndarray:
+    """Sorted offsets in a block of step uniforms u, of steps lo, lo + 1,
+    ..., at which the (a, b) rule innovates, after k types: step s emits
+    element t = s + 1 and is new when u[s - lo] < (a*K + b) / (t + b), K
+    being the vocabulary before it.
 
-
-def _eta_innovations(blocks: Iterable[np.ndarray], a: float, b: float) -> np.ndarray:
-    """Steps at which the (a, b) rule innovates: step s emits element
-    t = s + 1 and is new when u[s] < (a*K + b) / (t + b), K being the
-    vocabulary before it. `blocks` are consecutive blocks of the step
-    uniforms u.
-
-    K grows by at most one per step, so within a block of steps no rate
-    exceeds the one at K + block size; only the steps whose uniform falls
-    below that bound are candidates. Floating-point rounding is monotonic,
-    so the bound never drops a step the exact rule would take. The
-    candidates' decisions are the one fixed point of: each is the rule at
-    K plus the new candidates before it in the block. Iterated from none
-    before, round r has at least the first r right, so the rounds end at
-    the sequential decisions, made with the scalar rule's float
-    expressions.
+    K grows by at most one per step, so within the block no rate exceeds
+    the one at k + block size; only the steps whose uniform falls below
+    that bound are candidates. Floating-point rounding is monotonic, so the
+    bound never drops a step the exact rule would take. The candidates'
+    decisions are the one fixed point of: each is the rule at k plus the
+    new candidates before it. Iterated from none before, round r has at
+    least the first r right, so the rounds end at the sequential
+    decisions, made with the scalar rule's float expressions.
     """
-    steps = array("q")
-    k = 1
-    lo = 0
-    for block in blocks:
-        tb = np.arange(lo + 1, lo + 1 + block.size) + b
-        cand = np.flatnonzero(block < (a * (k + block.size) + b) / tb)
-        if cand.size:
-            x, tc = block[cand], tb[cand]
-            before = np.zeros(cand.size, dtype=np.int64)
-            while True:
-                new = x < (a * (k + before) + b) / tc
-                nxt = np.cumsum(new)
-                nxt -= new
-                if np.array_equal(nxt, before):
-                    break
-                before = nxt
-            taken = cand[new]
-            taken += lo
-            steps.frombytes(taken.tobytes())  # int64, as flatnonzero gives
-            k += taken.size
-        lo += block.size
-    return np.frombuffer(steps, dtype=np.int64) if steps else np.empty(0, dtype=np.int64)
+    tb = np.arange(lo + 1, lo + 1 + u.size) + b
+    cand = np.flatnonzero(u < (a * (k + u.size) + b) / tb)
+    x, tc = u[cand], tb[cand]
+    before = np.zeros(cand.size, dtype=np.int64)
+    while True:
+        new = x < (a * (k + before) + b) / tc
+        nxt = np.cumsum(new)
+        nxt -= new
+        if np.array_equal(nxt, before):
+            return cand[new]
+        before = nxt
 
 
 def _finish_block(block: np.ndarray, copies: np.ndarray, src: np.ndarray, fresh: np.ndarray, k: int) -> int:
@@ -273,14 +256,19 @@ def _finish_block(block: np.ndarray, copies: np.ndarray, src: np.ndarray, fresh:
 
 def _generate_blocks(
     params: ModelParams,
-    innovations: Callable[[Iterator[np.ndarray]], np.ndarray],
-    reuse: Callable[[np.ndarray, np.ndarray], Callable[..., None]],
+    innovations: Callable[[np.ndarray, int, int], np.ndarray],
+    reuse: Callable[[np.ndarray, list[np.ndarray]], Callable[..., None]],
 ) -> TokenSequence:
     """The block loop of the incremental models. Element 0 is type 0; step
-    s emits element s + 1, new at the sorted steps that `innovations`
-    returns for the blocks of the m - 1 step uniforms, else a reuse.
-    `reuse(tokens, new)`, called once the sorted innovation positions `new`
-    are known, returns the writer of one block: write(block, lo, k, fresh,
+    s emits element s + 1, new or else a reuse. The m - 1 step uniforms are
+    drawn first, a block at a time: `innovations(u, lo, k)` returns the
+    sorted offsets in the block u of steps lo, lo + 1, ..., after k types,
+    at which it innovates. Step block [lo, hi) emits element block
+    [lo + 1, hi + 1), so each block's offsets, kept as int32 (a block
+    holds 2**14 steps), are also those of its element block.
+
+    `reuse(tokens, offsets)`, called with the list of every block's
+    offsets, returns the writer of one block: write(block, lo, k, fresh,
     rng) writes the ids of positions lo, lo + 1, ..., after k types, with
     innovations at the sorted offsets `fresh`, into `block`, the view
     tokens[lo:hi]; they stand there once the last block is written. It
@@ -290,22 +278,21 @@ def _generate_blocks(
         return _constant(params)
     m = params.length
     rng = _seeded_rng(params.seed)
-    new = innovations(_uniform_blocks(rng, m - 1))
-    new += 1  # the positions the innovating steps emit
+    offsets, k = [], 1  # each block's innovation offsets; the types so far
+    for lo, hi in _spans(0, m - 1):
+        offsets.append(innovations(rng.random(hi - lo), lo, k).astype(np.int32))
+        k += offsets[-1].size
     tokens = np.empty(m, dtype=id_dtype(m))
     tokens[0] = 0
-    write = reuse(tokens, new)
-    k = 1  # ids issued before the block
-    for lo, hi in _spans(1, m):
-        # bounds of `new`'s own type: Python ints would cast all of an
-        # int32 `new` to int64 on every block
-        i, j = np.searchsorted(new, np.array((lo, hi), dtype=new.dtype))
-        write(tokens[lo:hi], lo, k, new[i:j] - lo, rng)
-        k += j - i
+    write = reuse(tokens, offsets)
+    k = 1
+    for (lo, hi), fresh in zip(_spans(1, m), offsets):
+        write(tokens[lo:hi], lo, k, fresh, rng)
+        k += fresh.size
     return TokenSequence._adopt(tokens)
 
 
-def _uniform_reuse(tokens: np.ndarray, new: np.ndarray) -> Callable[..., None]:
+def _uniform_reuse(tokens: np.ndarray, offsets: list[np.ndarray]) -> Callable[..., None]:
     """Simon's and conjunct's reuse: position t copies a uniformly random
     earlier position, rng.integers(0, t). It carries nothing."""
 
@@ -321,7 +308,7 @@ def _uniform_reuse(tokens: np.ndarray, new: np.ndarray) -> Callable[..., None]:
     return write
 
 
-def _discounted_reuse(tokens: np.ndarray, new: np.ndarray, a: float) -> Callable[..., None]:
+def _discounted_reuse(tokens: np.ndarray, offsets: list[np.ndarray], a: float) -> Callable[..., None]:
     """Pitman-Yor's reuse, of type i with weight counts[i] - a: position t
     draws x = u * (t - a*K) and, as `pitman_yor_next`, copies the first
     occurrence of type floor(x / (1 - a)) when x < K(1 - a), else the later
@@ -334,8 +321,8 @@ def _discounted_reuse(tokens: np.ndarray, new: np.ndarray, a: float) -> Callable
     appended there, which never reaches past the block's end, as n_later
     never exceeds the block's end less one less the innovations before it.
     The last block then expands the ids in place (`_expand_later`), so the
-    ids are the only whole-length array. `new` holds the sorted innovation
-    positions."""
+    ids are the only whole-length array; `offsets` holds every block's
+    innovation offsets."""
     n_later = 0
 
     def write(block: np.ndarray, lo: int, k: int, fresh: np.ndarray, rng: np.random.Generator) -> None:
@@ -365,26 +352,29 @@ def _discounted_reuse(tokens: np.ndarray, new: np.ndarray, a: float) -> Callable
         tokens[n_later : n_later + repeats.size] = block[repeats]
         n_later += repeats.size
         if lo + block.size == tokens.size:
-            _expand_later(tokens, new)
+            _expand_later(tokens, offsets)
 
     return write
 
 
-def _expand_later(tokens: np.ndarray, new: np.ndarray) -> None:
+def _expand_later(tokens: np.ndarray, offsets: list[np.ndarray]) -> None:
     """Turn ids whose front holds the id of every later occurrence, in
     order, into the whole sequence, in place: element 0 is type 0 and the
-    innovation at new[i] is type i + 1. The blocks go from the back: block
-    [lo, hi) with innovations new[i:j] takes its later ids from
-    tokens[lo - 1 - i : hi - 1 - j], which no block after it wrote, as that
-    range ends at or before hi."""
-    for lo, hi in reversed(list(_spans(1, tokens.size))):
-        i, j = np.searchsorted(new, np.array((lo, hi), dtype=new.dtype))
+    i-th innovation is type i. The blocks go from the back, with the count
+    of innovations before each: block [lo, hi) with innovations at the
+    offsets `fresh`, i of them before it and j = i + fresh.size before hi,
+    takes its later ids from tokens[lo - 1 - i : hi - 1 - j], which no
+    block after it wrote, as that range ends at or before hi."""
+    j = sum(fresh.size for fresh in offsets)
+    for (lo, hi), fresh in zip(reversed(list(_spans(1, tokens.size))), reversed(offsets)):
+        i = j - fresh.size
         later = tokens[lo - 1 - i : hi - 1 - j].copy()  # the block may overlap it
-        block, fresh = tokens[lo:hi], new[i:j] - lo
+        block = tokens[lo:hi]
         repeat = np.ones(block.size, dtype=bool)
         repeat[fresh] = False
         block[repeat] = later
         block[fresh] = np.arange(1 + i, 1 + j, dtype=block.dtype)
+        j = i
     tokens[0] = 0
 
 
@@ -393,16 +383,8 @@ def generate_simon(params: ModelParams) -> TokenSequence:
     probability alpha, else repeat the token at a uniformly random past
     position."""
     _require(params, "simon")
-    alpha, dtype = params.alpha, id_dtype(params.length)
-
-    def innovations(blocks: Iterator[np.ndarray]) -> np.ndarray:
-        steps, lo = [np.empty(0, dtype=dtype)], 0
-        for u in blocks:
-            steps.append((np.flatnonzero(u < alpha) + lo).astype(dtype))
-            lo += u.size
-        return np.concatenate(steps)
-
-    return _generate_blocks(params, innovations, _uniform_reuse)
+    alpha = params.alpha
+    return _generate_blocks(params, lambda u, lo, k: np.flatnonzero(u < alpha), _uniform_reuse)
 
 
 def generate_pitman_yor(params: ModelParams) -> TokenSequence:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -203,6 +204,15 @@ def _innovation_steps(u, a, b):
     return steps
 
 
+def _rule_steps(rule, blocks):
+    """The steps a one-block innovation rule takes over consecutive blocks, lo and k carried."""
+    steps, lo = [], 0
+    for u in blocks:
+        steps += (rule(u, lo, 1 + len(steps)) + lo).tolist()
+        lo += u.size
+    return steps
+
+
 def _replay_uniform_copy(kernel, params):
     """Tokens from feeding a kernel the draws of a Simon or conjunct run:
     one step uniform each, then one past position each."""
@@ -294,7 +304,7 @@ class TestBulkMatchesKernels:
         u = np.random.default_rng(14).random(3 * 10**4)
         blocks = np.split(u, [7, 7 + 19993])
         for a, b in AB_CELLS + [(0.99, 5.0), (0.3, 100.0)]:
-            assert _eta_innovations(blocks, a, b).tolist() == _innovation_steps(u, a, b)
+            assert _rule_steps(partial(_eta_innovations, a=a, b=b), blocks) == _innovation_steps(u, a, b)
 
     @pytest.mark.parametrize("a,b", [(0.68, 0.8), (0.9, 0.0), (0.99, 0.0), (0.3, 1e4), (0.5, 1e12), (0.0, 0.8)])
     def test_innovation_fixed_point_matches_scalar_rule(self, a, b):
@@ -305,7 +315,17 @@ class TestBulkMatchesKernels:
             for m in (2, 2**14, 2**14 + 2, 10**5):
                 u = np.random.default_rng(seed).random(m - 1)
                 blocks = np.split(u, range(2**14, u.size, 2**14))
-                assert _eta_innovations(blocks, a, b).tolist() == _innovation_steps(u, a, b)
+                assert _rule_steps(partial(_eta_innovations, a=a, b=b), blocks) == _innovation_steps(u, a, b)
+
+    def test_simon_rule_is_the_constant_rate(self, monkeypatch):
+        # the rule generate_simon hands the block loop, over uneven blocks
+        # and the generators' blocks of 2**14
+        rules = []
+        monkeypatch.setattr(genmodels, "_generate_blocks", lambda params, innovations, reuse: rules.append(innovations))
+        generate_simon(ModelParams(model="simon", length=10, seed=0, alpha=0.3))
+        u = np.random.default_rng(14).random(5 * 10**4)
+        for blocks in (np.split(u, [7, 7 + 19993]), np.split(u, range(2**14, u.size, 2**14))):
+            assert _rule_steps(rules[0], blocks) == np.flatnonzero(u < 0.3).tolist()
 
     def test_deep_chains_in_first_block(self):
         # at alpha 0.01 nearly every element of the first block copies

@@ -4,9 +4,9 @@ The corpus path keeps token ids in flat buffers and holds one block of
 text at a time; its ids come from 8-byte keys and one hash table, with no
 Python string but one per type. The generators draw their random numbers
 a block at a time, write each block of ids as soon as its draws are in,
-keep no whole-length array but the ids and the innovation positions
-(Pitman-Yor keeps its later-occurrence ids in the front of the ids'
-buffer), and hand their ids to TokenSequence without a copy. Every id
+keep no whole-length array but the ids and each block's innovation
+offsets (Pitman-Yor keeps its later-occurrence ids in the front of the
+ids' buffer), and hand their ids to TokenSequence without a copy. Every id
 array is int32 below 2**31 tokens. Measured at 2e5 tokens (CPython 3.11,
 numpy 2.4), in bytes a token, with the bound each test asserts:
 
@@ -14,13 +14,15 @@ numpy 2.4), in bytes a token, with the bound each test asserts:
         set the peak (13.5 at 2e6 tokens of 2e5 types)
     generate_bigram 16.9, bound 18: it holds a span of up to 2**20
         uniforms, 8 bytes a token at this length
-    generate: Simon alpha 0.1 8.4, Simon alpha 0.4 8.8, conjunct
-        (0.68, 0.8) 8.3 and conjunct (0.9, 0), seed 1, 9.8, bound 10.5,
-        Simon's innovation positions held as int32 and the (a, b) ones
-        collected as 8-byte machine ints (15.2 for (0.9, 0) when they
-        were Python ints); Pitman-Yor (0.68, 0.8) and (0, 0.8) 11.8,
-        bound 12.5, the ids and its block temporaries (5.6 at 1e6; 15.7
-        when its later-occurrence ids were a second whole-length array);
+    generate: Simon alpha 0.1 8.4, Simon alpha 0.4 8.7, conjunct
+        (0.68, 0.8) 8.3 and conjunct (0.9, 0), seed 1, 8.3, bound 9.4,
+        each block's innovation offsets held as int32 (9.8 for (0.9, 0)
+        when the (a, b) steps were 8-byte machine ints, 15.2 when they
+        were Python ints); Pitman-Yor (0.68, 0.8) and (0, 0.8) 11.7 and
+        (0.9, 0), seed 1, 11.5, bound 12.5, the ids and its block
+        temporaries (5.6 at 1e6; 13.0 for (0.9, 0) with 8-byte steps;
+        15.7 when its later-occurrence ids were a second whole-length
+        array);
         Pitman-Yor and conjunct (0, 0) 4.4, bound 4.5, the ids and the
         block of running maxima that checks their order, as they draw no
         random numbers
@@ -84,8 +86,8 @@ from lrclab.seqcore import DataError, TokenSequence
 TOKENS = 200_000
 # Bytes a token. Each bound is the figure above plus the margin noted.
 GENERATOR_BOUND = 17  # shuffle and zipf: 15.2 at most, margin 1.8
-PITMAN_YOR_BOUND = 12.5  # Pitman-Yor: 11.8 at most, margin 0.7
-UNIFORM_COPY_BOUND = 10.5  # Simon and conjunct: 9.8 at most, margin 0.7
+PITMAN_YOR_BOUND = 12.5  # Pitman-Yor: 11.7 at most, margin 0.8
+UNIFORM_COPY_BOUND = 9.4  # Simon and conjunct: 8.7 at most, margin 0.7
 CONSTANT_BOUND = 4.5  # the (a, b) models at (0, 0), the int32 ids alone: 4.0, margin 0.5
 BIGRAM_BOUND = 18  # generate_bigram: 16.9, margin 1.1
 TYPE_STATS_BOUND = 1.0  # counts, where the types are a small share: 0.76 at most, margin 0.24
@@ -184,6 +186,7 @@ def test_generate_bigram(text):
     # many innovations: seed 1 makes 58,512 types, near the mean of about
     # 61,000; at b = 0 a run may keep few types for long, as seed 4 does (4048)
     ("conjunct", {"a": 0.9, "b": 0.0, "seed": 1}),
+    ("pitman_yor", {"a": 0.9, "b": 0.0, "seed": 1}),
 ])
 def test_generate(simon, model, params):
     p = ModelParams(model=model, length=TOKENS, **{"seed": 4, **params})
