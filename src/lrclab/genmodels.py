@@ -7,10 +7,11 @@ an earlier one, by a uniform copy of an earlier position (Simon,
 conjunct) or by the discounted copy of Pitman-Yor, type i with weight
 counts[i] - a. One block loop runs all three, with the two rules as its
 arguments. The innovation rule decides one block of steps at a time, and
-the loop then writes the ids one block of positions at a time, as soon as
-the block's draws are in. Besides the ids, a generator holds only each
-block's innovation offsets; Pitman-Yor keeps the ids of its later
-occurrences in the front of the ids' own buffer. Three reference
+the loop lists each block of positions once, with its bounds, the
+vocabulary before it and its innovation offsets; the reuse rule is a plain
+loop over that list that writes each block's ids in place. Besides the
+ids, a generator holds only that list; Pitman-Yor keeps the ids of its
+later occurrences in the front of the ids' own buffer. Three reference
 generators round out the set: an i.i.d. sampler with an exact power-law
 rank distribution, a first-order Markov resampler of a corpus, and a
 word-level shuffler.
@@ -187,7 +188,8 @@ def conjunct_next(past: Sequence[int], a: float, b: float, rng: np.random.Genera
 # Bulk generators: one block loop, `_generate_blocks`, over an innovation
 # rule and a reuse rule. An innovation rule decides one block of steps; the
 # (a, b) decisions, which depend on the vocabulary so far, are its fixed
-# point.
+# point. A reuse rule loops over the block list (lo, hi, k, fresh) and
+# writes every block's ids in place.
 # ---------------------------------------------------------------------------
 
 
@@ -257,47 +259,42 @@ def _finish_block(block: np.ndarray, copies: np.ndarray, src: np.ndarray, fresh:
 def _generate_blocks(
     params: ModelParams,
     innovations: Callable[[np.ndarray, int, int], np.ndarray],
-    reuse: Callable[[np.ndarray, list[np.ndarray]], Callable[..., None]],
+    reuse: Callable[[np.ndarray, list[tuple[int, int, int, np.ndarray]], np.random.Generator], None],
 ) -> TokenSequence:
     """The block loop of the incremental models. Element 0 is type 0; step
     s emits element s + 1, new or else a reuse. The m - 1 step uniforms are
     drawn first, a block at a time: `innovations(u, lo, k)` returns the
     sorted offsets in the block u of steps lo, lo + 1, ..., after k types,
     at which it innovates. Step block [lo, hi) emits element block
-    [lo + 1, hi + 1), so each block's offsets, kept as int32 (a block
-    holds 2**14 steps), are also those of its element block.
+    [lo + 1, hi + 1), so each block's offsets are also those of its
+    element block.
 
-    `reuse(tokens, offsets)`, called with the list of every block's
-    offsets, returns the writer of one block: write(block, lo, k, fresh,
-    rng) writes the ids of positions lo, lo + 1, ..., after k types, with
-    innovations at the sorted offsets `fresh`, into `block`, the view
-    tokens[lo:hi]; they stand there once the last block is written. It
-    draws its reuse after all the step uniforms and carries what its rule
-    needs from one block to the next."""
+    The pass lists each element block once, as (lo, hi, k, fresh): its
+    bounds, the k types before it, and its innovation offsets `fresh`, kept
+    as int32 (a block holds 2**14 steps). `reuse(tokens, blocks, rng)`
+    then writes the ids of every block in place, after tokens[0] = 0,
+    drawing its reuse after all the step uniforms."""
     if params.degenerate:
         return _constant(params)
     m = params.length
     rng = _seeded_rng(params.seed)
-    offsets, k = [], 1  # each block's innovation offsets; the types so far
+    blocks, k = [], 1  # (lo, hi, k, fresh) of each element block; the types so far
     for lo, hi in _spans(0, m - 1):
-        offsets.append(innovations(rng.random(hi - lo), lo, k).astype(np.int32))
-        k += offsets[-1].size
+        fresh = innovations(rng.random(hi - lo), lo, k).astype(np.int32)
+        blocks.append((lo + 1, hi + 1, k, fresh))
+        k += fresh.size
     tokens = np.empty(m, dtype=id_dtype(m))
     tokens[0] = 0
-    write = reuse(tokens, offsets)
-    k = 1
-    for (lo, hi), fresh in zip(_spans(1, m), offsets):
-        write(tokens[lo:hi], lo, k, fresh, rng)
-        k += fresh.size
+    reuse(tokens, blocks, rng)
     return TokenSequence._adopt(tokens)
 
 
-def _uniform_reuse(tokens: np.ndarray, offsets: list[np.ndarray]) -> Callable[..., None]:
+def _uniform_reuse(tokens: np.ndarray, blocks: list[tuple[int, int, int, np.ndarray]], rng: np.random.Generator) -> None:
     """Simon's and conjunct's reuse: position t copies a uniformly random
-    earlier position, rng.integers(0, t). It carries nothing."""
-
-    def write(block: np.ndarray, lo: int, k: int, fresh: np.ndarray, rng: np.random.Generator) -> None:
-        tgt = rng.integers(0, np.arange(lo, lo + block.size))
+    earlier position, rng.integers(0, t)."""
+    for lo, hi, k, fresh in blocks:
+        block = tokens[lo:hi]
+        tgt = rng.integers(0, np.arange(lo, hi))
         tgt[fresh] = 0  # an innovation copies nothing
         # right for every copy of an earlier block; a target inside the
         # block is clipped, and its chain followed below
@@ -305,33 +302,31 @@ def _uniform_reuse(tokens: np.ndarray, offsets: list[np.ndarray]) -> Callable[..
         copies = np.flatnonzero(tgt >= lo)
         _finish_block(block, copies, tgt[copies] - lo, fresh, k)
 
-    return write
 
-
-def _discounted_reuse(tokens: np.ndarray, offsets: list[np.ndarray], a: float) -> Callable[..., None]:
+def _discounted_reuse(
+    tokens: np.ndarray, blocks: list[tuple[int, int, int, np.ndarray]], rng: np.random.Generator, a: float
+) -> None:
     """Pitman-Yor's reuse, of type i with weight counts[i] - a: position t
     draws x = u * (t - a*K) and, as `pitman_yor_next`, copies the first
     occurrence of type floor(x / (1 - a)) when x < K(1 - a), else the later
     occurrence number floor(x - K(1 - a)); a later occurrence inside the
     block is a copy to follow there.
 
-    It carries `n_later`. The ids of the later occurrences before the block,
+    The ids of the n_later later occurrences before a block,
     `GeneratorState.later`, are tokens[:n_later], in the front of the ids'
     own buffer: a block is built in its place and its later occurrences are
     appended there, which never reaches past the block's end, as n_later
     never exceeds the block's end less one less the innovations before it.
-    The last block then expands the ids in place (`_expand_later`), so the
-    ids are the only whole-length array; `offsets` holds every block's
-    innovation offsets."""
+    After the last block `_expand_later` expands the ids in place, so the
+    ids are the only whole-length array."""
     n_later = 0
-
-    def write(block: np.ndarray, lo: int, k: int, fresh: np.ndarray, rng: np.random.Generator) -> None:
-        nonlocal n_later
+    for lo, hi, k, fresh in blocks:
+        block = tokens[lo:hi]
         is_new = np.zeros(block.size, dtype=bool)
         is_new[fresh] = True
         # the vocabulary before each position
         kb = np.repeat(np.arange(k, k + fresh.size + 1), np.diff(np.concatenate(([0], fresh + 1, [block.size]))))
-        t = np.arange(lo, lo + block.size)
+        t = np.arange(lo, hi)
         x = rng.random(block.size)
         x *= t - a * kb  # the reuse draw of each position
         first_w = kb * (1.0 - a)
@@ -351,30 +346,26 @@ def _discounted_reuse(tokens: np.ndarray, offsets: list[np.ndarray], a: float) -
         _finish_block(block, inside, repeats[slot[inside] - n_later], fresh, k)
         tokens[n_later : n_later + repeats.size] = block[repeats]
         n_later += repeats.size
-        if lo + block.size == tokens.size:
-            _expand_later(tokens, offsets)
-
-    return write
+    _expand_later(tokens, blocks)
 
 
-def _expand_later(tokens: np.ndarray, offsets: list[np.ndarray]) -> None:
+def _expand_later(tokens: np.ndarray, blocks: list[tuple[int, int, int, np.ndarray]]) -> None:
     """Turn ids whose front holds the id of every later occurrence, in
     order, into the whole sequence, in place: element 0 is type 0 and the
-    i-th innovation is type i. The blocks go from the back, with the count
-    of innovations before each: block [lo, hi) with innovations at the
-    offsets `fresh`, i of them before it and j = i + fresh.size before hi,
-    takes its later ids from tokens[lo - 1 - i : hi - 1 - j], which no
-    block after it wrote, as that range ends at or before hi."""
-    j = sum(fresh.size for fresh in offsets)
-    for (lo, hi), fresh in zip(reversed(list(_spans(1, tokens.size))), reversed(offsets)):
-        i = j - fresh.size
+    i-th innovation is type i. The blocks go from the back: block
+    (lo, hi, k, fresh) has i = k - 1 innovations before it and
+    j = i + fresh.size before hi, and takes its later ids from
+    tokens[lo - 1 - i : hi - 1 - j], which no block after it wrote, as
+    that range ends at or before hi."""
+    for lo, hi, k, fresh in reversed(blocks):
+        i = k - 1
+        j = i + fresh.size
         later = tokens[lo - 1 - i : hi - 1 - j].copy()  # the block may overlap it
         block = tokens[lo:hi]
         repeat = np.ones(block.size, dtype=bool)
         repeat[fresh] = False
         block[repeat] = later
         block[fresh] = np.arange(1 + i, 1 + j, dtype=block.dtype)
-        j = i
     tokens[0] = 0
 
 

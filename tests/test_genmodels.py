@@ -327,6 +327,40 @@ class TestBulkMatchesKernels:
         for blocks in (np.split(u, [7, 7 + 19993]), np.split(u, range(2**14, u.size, 2**14))):
             assert _rule_steps(rules[0], blocks) == np.flatnonzero(u < 0.3).tolist()
 
+    def test_block_list(self, monkeypatch):
+        # what the block loop hands a reuse rule: every element block once,
+        # as (lo, hi, k, fresh), over three blocks, the last of four steps
+        seen = []
+
+        def recording(rule):
+            def stand_in(tokens, blocks, rng, **kw):
+                seen.append(blocks)
+                rule(tokens, blocks, rng, **kw)
+
+            return stand_in
+
+        for name in ("_uniform_reuse", "_discounted_reuse"):
+            monkeypatch.setattr(genmodels, name, recording(getattr(genmodels, name)))
+        m, sizes = 2**15 + 5, []
+        for p in (
+            ModelParams(model="simon", length=m, seed=1, alpha=0.01),
+            ModelParams(model="conjunct", length=m, seed=1, a=0.68, b=0.8),
+            ModelParams(model="pitman_yor", length=m, seed=1, a=0.9, b=0.0),
+        ):
+            seq = generate(p)
+            blocks = seen.pop()
+            assert len(blocks) == 3
+            k = 1
+            for b, (lo, hi, k_before, fresh) in enumerate(blocks):
+                assert (lo, hi) == (1 + b * 2**14, min(1 + (b + 1) * 2**14, m))
+                assert k_before == k
+                assert fresh.dtype == np.int32
+                assert np.all(np.diff(fresh) > 0) and np.all((0 <= fresh) & (fresh < hi - lo))
+                k += fresh.size
+                sizes.append(fresh.size)
+            assert k == seq.k
+        assert not seen and 0 in sizes
+
     def test_deep_chains_in_first_block(self):
         # at alpha 0.01 nearly every element of the first block copies
         # another inside it, so chains there run deeper than one doubling

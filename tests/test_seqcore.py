@@ -182,6 +182,21 @@ class TestIntervalSequence:
             IntervalSequence(np.array([1, 0]))
 
 
+def _fresh_python(code):
+    """The words `code` prints in a new interpreter that imports lrclab from this tree."""
+    src = str(Path(lrclab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    return out.stdout.split()
+
+
 class TestLogGrid:
     def test_limit_one(self):
         assert log_grid(1).tolist() == [1]
@@ -223,17 +238,13 @@ class TestLogGrid:
             "acf_curve(ints)\n"
             "print(before, 'numpy.ma' in sys.modules)\n"
         )
-        src = str(Path(lrclab.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=60,
-        )
-        assert out.stdout.split() == ["False", "False"]
+        assert _fresh_python(code) == ["False", "False"]
+
+    def test_cli_import_leaves_numpy_random_and_ma_unimported(self):
+        # every command pays the CLI's import; numpy.random and numpy.ma
+        # wait until a command uses them
+        code = "import sys\nimport lrclab.cli\nprint('numpy.random' in sys.modules, 'numpy.ma' in sys.modules)\n"
+        assert _fresh_python(code) == ["False", "False"]
 
 
 class TestOpenOutput:
