@@ -180,7 +180,9 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_sweep)
     p.add_argument("--spec", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--workers", type=_at_least(1), default=1)
+    p.add_argument("--workers", type=_at_least(1), default=1, metavar="N",
+                   help="runs at a time, in as many processes, this one included: "
+                        "starts min(N, runs) - 1 worker processes (default 1)")
 
     p = sub.add_parser("chat-extract", help="extract speaker tokens from a CHAT transcript")
     p.set_defaults(handler=_cmd_chat_extract)

@@ -1,8 +1,9 @@
 """Experiment harness: single-file analysis runs, replicated parameter
 sweeps over the generative models, and figure-data emission.
 
-Sweeps evaluate every (cell, replicate) pair independently; cells may run
-in parallel workers, and the output ordering is canonical (cell values,
+Sweeps evaluate every (cell, replicate) pair independently; on w workers
+the calling process runs every w-th job and a forked pool of w - 1
+processes runs the rest, and the output ordering is canonical (cell values,
 then replicate, ascending) no matter how the work was scheduled, so a
 sweep spec always produces byte-identical CSV files. Replicate seeds are
 derived as base_seed + replicate index.
@@ -233,16 +234,32 @@ def _aggregate(cell: tuple[float, ...], records: list[SweepRecord]) -> CellAggre
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Evaluate every grid cell `replicates` times. The jobs are listed in
-    canonical order, and records keep it whatever order the jobs ran in."""
+    canonical order, and records keep it whatever order the jobs ran in.
+
+    Up to `workers` jobs run at a time, in as many processes, the calling
+    one included: with w = min(workers, jobs) > 1, the caller runs every
+    w-th job, starting at the first, and a pool of w - 1 forked processes
+    runs the rest. A job that raises cancels the pool's jobs that have not
+    started, and the exception propagates."""
     jobs = [
         (spec.model, cell, rep, spec.length, spec.base_seed, spec.n)
         for cell in spec.cells()
         for rep in range(spec.replicates)
     ]
-    if workers > 1 and len(jobs) > 1:
+    w = min(workers, len(jobs))
+    if w > 1:
+        records = [None] * len(jobs)
         # A forked pool starts all its workers at the first submit.
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            records = list(pool.map(_run_cell_job, jobs))
+        with ProcessPoolExecutor(max_workers=w - 1) as pool:
+            try:
+                pooled = [(i, pool.submit(_run_cell_job, jobs[i])) for i in range(len(jobs)) if i % w]
+                for i in range(0, len(jobs), w):
+                    records[i] = _run_cell_job(jobs[i])
+                for i, future in pooled:
+                    records[i] = future.result()
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
         records = [_run_cell_job(job) for job in jobs]
     groups = itertools.groupby(records, key=lambda r: r.cell)

@@ -1,6 +1,10 @@
 import csv
+import functools
 import json
+import os
 import re
+import time
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +36,31 @@ TINY_SWEEP = dict(
     length=20000,
     base_seed=100,
 )
+
+
+def _log_jobs(monkeypatch, log: Path, sleep_s: float = 0.0, fail_at: int | None = None) -> None:
+    """Wrap `harness._run_cell_job` by name, with `functools.wraps` as
+    perfbench/spans.py does, so that the wrapper pickles by that name and
+    forked pool processes run it too. Each call appends its pid and
+    replicate to `log`, then sleeps `sleep_s`; replicate `fail_at` raises
+    RuntimeError instead of running."""
+    job = harness._run_cell_job
+
+    @functools.wraps(job)
+    def logged(args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {args[2]}\n")
+        if args[2] == fail_at:
+            raise RuntimeError(f"replicate {fail_at}")
+        time.sleep(sleep_s)
+        return job(args)
+
+    monkeypatch.setattr(harness, "_run_cell_job", logged)
+
+
+def _logged_runs(log: Path) -> list[tuple[int, int]]:
+    """(pid, replicate) per logged call, in the order they were logged."""
+    return [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
 
 
 class TestSweepSpec:
@@ -178,6 +207,8 @@ class TestRunSweep:
         assert result.aggregates[0].lrc_fraction == 0.0
 
     def test_pool_no_larger_than_job_list(self, monkeypatch):
+        # The caller is one of the workers, so the pool holds one process
+        # fewer than the jobs that run at a time.
         sizes = []
 
         class RecordingPool:
@@ -190,25 +221,67 @@ class TestRunSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def submit(self, fn, job):
+                future = Future()
+                future.set_result(fn(job))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-        spec = SweepSpec(model="conjunct", a_values=(0.68,), b_values=(0.8,),
-                         replicates=2, length=2000, base_seed=1)
-        assert len(run_sweep(spec, workers=64).records) == 2
-        assert sizes == [2]
 
-    def test_parallel_matches_serial(self, tmp_path):
+        def spec(replicates):
+            return SweepSpec(model="conjunct", a_values=(0.68,), b_values=(0.8,),
+                             replicates=replicates, length=2000, base_seed=1)
+
+        assert len(run_sweep(spec(2), workers=64).records) == 2
+        assert sizes == [1]
+        assert len(run_sweep(spec(1), workers=64).records) == 1
+        assert len(run_sweep(spec(2), workers=1).records) == 2
+        assert sizes == [1]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_parallel_matches_serial(self, tmp_path, workers):
+        # 5 jobs: the caller's stripe and the pool's are of unequal length.
         spec = SweepSpec(model="conjunct", a_values=(0.68,), b_values=(0.8,),
-                         replicates=2, length=8000, base_seed=7)
+                         replicates=5, length=8000, base_seed=7)
         serial = run_sweep(spec, workers=1)
-        parallel = run_sweep(spec, workers=2)
+        parallel = run_sweep(spec, workers=workers)
         d1, d2 = tmp_path / "serial", tmp_path / "parallel"
         write_sweep_result(serial, d1)
         write_sweep_result(parallel, d2)
         assert (d1 / "records.csv").read_bytes() == (d2 / "records.csv").read_bytes()
         assert (d1 / "aggregates.csv").read_bytes() == (d2 / "aggregates.csv").read_bytes()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_caller_runs_every_wth_job(self, tmp_path, monkeypatch, workers):
+        # Each job sleeps, so that every pool process takes a job before
+        # another finishes.
+        spec = SweepSpec(model="conjunct", a_values=(0.68,), b_values=(0.8,),
+                         replicates=5, length=8000, base_seed=7)
+        serial = run_sweep(spec, workers=1)
+        log = tmp_path / "jobs.log"
+        _log_jobs(monkeypatch, log, sleep_s=0.1)
+        parallel = run_sweep(spec, workers=workers)
+        runs = _logged_runs(log)
+        assert sorted(rep for _, rep in runs) == list(range(5))
+        assert len({pid for pid, _ in runs}) == workers
+        assert [rep for pid, rep in runs if pid == os.getpid()] == list(range(0, 5, workers))
+        assert parallel.records == serial.records
+
+    def test_failing_job_cancels_pending_jobs(self, tmp_path, monkeypatch):
+        # The caller's first job raises; the pool's jobs that have not
+        # started are cancelled, so the last one never runs.
+        spec = SweepSpec(model="conjunct", a_values=(0.68,), b_values=(0.8,),
+                         replicates=12, length=8000, base_seed=7)
+        log = tmp_path / "jobs.log"
+        _log_jobs(monkeypatch, log, fail_at=0)
+        with pytest.raises(RuntimeError, match="replicate 0"):
+            run_sweep(spec, workers=2)
+        reps = [rep for _, rep in _logged_runs(log)]
+        assert 0 in reps
+        assert 11 not in reps
 
     def test_byte_identical_rerun(self, tmp_path):
         spec = SweepSpec(**TINY_SWEEP)
